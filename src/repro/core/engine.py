@@ -3,7 +3,7 @@
 :class:`IdlEngine` is the one-stop public entry point: it owns a base
 :class:`~repro.objects.universe.Universe`, an
 :class:`~repro.core.program.IdlProgram` of views and update programs, a
-materialization cache, and an update executor. Typical use::
+materialization store, and an update executor. Typical use::
 
     engine = IdlEngine()
     engine.add_database("euter", {"r": [...]})
@@ -14,7 +14,8 @@ materialization cache, and an update executor. Typical use::
 
 Queries run against the *merged* view (base universe plus materialized
 derived overlay); updates run against the base universe only, wrapped in
-a snapshot transaction (atomic by default) and invalidate the cache.
+a snapshot transaction (atomic by default), and repair (or invalidate)
+the store.
 """
 
 from __future__ import annotations
@@ -109,25 +110,26 @@ class IdlEngine:
     queries are first run through the static effect analysis
     (:mod:`repro.analysis.effects`): only the view rules the query's
     read set can reach are materialized, so a query that provably
-    touches one member never pays for the others. Pruned overlays are
-    cached per needed-rule set (LRU, dropped when their rules'
-    inputs change); :attr:`last_prune` records the most recent
-    decision.
+    touches one member never pays for the others; :attr:`last_prune`
+    records the most recent decision.
 
-    With ``maintain`` True (the default), an update against a fully
-    materialized view repairs the dirty strata in place from the
-    update's concrete insert/delete deltas (incremental view
-    maintenance: DRed for deletions, delta-seeded semi-naive for
-    insertions) instead of rebuilding them — see
-    :func:`repro.core.fixpoint.maintain_stratum`. Any shape whose
-    repair could be unsound falls back to the full rebuild; set
-    ``maintain=False`` to force the rebuild path everywhere.
+    Pruned and full reads share one materialization store: an ordered
+    map from stratum (an SCC of the rule dependency graph, keyed by the
+    frozenset of its rule ids) to its overlay, plus one combined
+    overlay and one :class:`~repro.core.fixpoint.FixpointStats`. It
+    grows on demand — a read evaluates only the strata of its needed
+    rules the store lacks — and is bounded by one full
+    materialization.
+
+    With ``maintain`` True (the default), an update repairs the dirty
+    held strata in place from the update's concrete insert/delete
+    deltas (incremental view maintenance: DRed for deletions,
+    delta-seeded semi-naive for insertions) instead of rebuilding them
+    — see :func:`repro.core.fixpoint.maintain_stratum`. A stratum whose
+    repair could be unsound falls back: it and its downstream strata
+    leave the store and are rebuilt by the next read that needs them.
+    ``maintain=False`` forces that rebuild path everywhere.
     """
-
-    #: Max distinct pruned rule subsets whose overlays are kept alive
-    #: (an LRU: lookups refresh recency, overflow evicts the least
-    #: recently used entry).
-    PRUNED_CACHE_SIZE = 8
 
     def __init__(self, universe=None, program=None, fixpoint_method="seminaive",
                  reorder=True, obs=None, use_indexes=True, prune=False,
@@ -145,11 +147,14 @@ class IdlEngine:
         self.prune = prune
         self.maintain = maintain
         self.last_prune = None
+        # The materialization store: stratum key (frozenset of rule
+        # ids) -> (stratum, overlay) in evaluation order, the ids of the
+        # rules it holds, the combined overlay of every held stratum
+        # (None until the next read rebuilds it) and one FixpointStats.
+        self._store = {}
+        self._held = set()
         self._overlay = None
         self._overlay_stats = None
-        self._strata = None  # [(key, stratum, overlay)] in evaluation order
-        self._reusable = {}  # stratum key -> overlay (selective rebuild)
-        self._pruned_cache = {}  # needed-rule id tuple -> (overlay, stats)
         self._last_stats = None  # stats of the last query's materialization
         self._effects = None
         self._effects_version = None
@@ -198,71 +203,55 @@ class IdlEngine:
     # -- materialization -----------------------------------------------------
 
     def invalidate(self):
-        """Drop every materialized overlay (after out-of-band changes)."""
+        """Empty the materialization store (after out-of-band changes)."""
+        self._store = {}
+        self._held = set()
         self._overlay = None
         self._overlay_stats = None
-        self._strata = None
-        self._reusable = {}
-        self._pruned_cache = {}
 
     def _selective_invalidate(self, touched, delta=None):
-        """Invalidate — or repair — the view strata an update affected.
+        """Invalidate — or repair — the held strata an update affected.
 
         ``touched`` is the set of ``(db, rel)`` prefixes reported by the
         update evaluator; ``delta`` (optional) its concrete
         :class:`~repro.core.updates.UpdateDelta`. A rule is dirty when
         it reads (or defines) a target overlapping a touched path or a
-        dirty rule's target, transitively. Pruned-query overlays whose
-        rule sets are entirely clean survive. With a full
-        materialization live and a concrete delta, dirty strata are
-        repaired in place (:meth:`_repair_strata`); otherwise clean
-        strata keep their overlays for reuse by the next
-        materialization and dirty ones are dropped.
+        dirty rule's target, transitively. With maintenance on and a
+        concrete delta, dirty strata are repaired in place
+        (:meth:`_repair_strata`); otherwise they leave the store, and
+        the clean ones stay for every later read.
         """
         from repro.core.terms import Const
 
         if any(len(prefix) == 0 for prefix in touched):
             self.invalidate()
             return
+        if not self._store:
+            return
 
         touched_patterns = [
             tuple(Const(name) for name in prefix) for prefix in touched
         ]
         dirty_ids = {id(rule) for rule in self._dirty_rules(touched_patterns)}
-        self._retain_pruned_overlays(dirty_ids)
-
-        if self._strata is None:
-            # Nothing fully materialized; keep previously salvaged
-            # overlays of strata whose rules all stayed clean.
-            if self._reusable and dirty_ids:
-                self._reusable = {
-                    key: overlay for key, overlay in self._reusable.items()
-                    if not dirty_ids.intersection(key)
-                }
-            self._overlay = None
-            self._overlay_stats = None
+        if self._held.isdisjoint(dirty_ids):
+            # The update touched nothing a held stratum reads: the store
+            # stays valid (queries merge the live base underneath it).
             return
 
-        if not dirty_ids:
-            # The update touched nothing any view reads: the whole
-            # materialization stays valid (queries merge the live base
-            # underneath the overlay).
-            return
-
-        if (self.maintain and delta is not None
-                and self._overlay_stats is not None):
+        if self.maintain and delta is not None:
             self._repair_strata(dirty_ids, touched_patterns, delta)
             return
+        self._evict([key for key in self._store
+                     if not dirty_ids.isdisjoint(key)])
 
-        reusable = {
-            key: overlay
-            for key, _, overlay in self._strata
-            if not dirty_ids.intersection(key)
-        }
-        self._overlay = None
-        self._overlay_stats = None
-        self._strata = None
-        self._reusable = reusable
+    def _evict(self, keys):
+        """Drop strata from the store; the combined overlay is rebuilt
+        from the survivors by the next read."""
+        for key in keys:
+            del self._store[key]
+            self._held.difference_update(key)
+        if keys:
+            self._overlay = None
 
     def _dirty_rules(self, touched_patterns):
         """Rules whose output the update may have changed: those reading
@@ -293,28 +282,19 @@ class IdlEngine:
                     progress = True
         return dirty
 
-    def _retain_pruned_overlays(self, dirty_ids):
-        """Keep pruned-query overlays whose needed-rule sets are
-        entirely clean — their inputs did not change, so the cached
-        subset materialization is still exact."""
-        if self._pruned_cache and dirty_ids:
-            self._pruned_cache = {
-                key: value for key, value in self._pruned_cache.items()
-                if not dirty_ids.intersection(key)
-            }
-
     def _repair_strata(self, dirty_ids, touched_patterns, delta):
-        """Incremental view maintenance over the cached materialization.
+        """Incremental view maintenance over the materialization store.
 
-        Walks the strata in evaluation order, repairing each dirty
+        Walks the held strata in evaluation order, repairing each dirty
         overlay in place from the accumulated concrete deltas (the
         update's own changes plus the derived changes of already
-        repaired strata). When every dirty stratum repairs, the cached
-        materialization stays live and the combined overlay is patched
-        with the net derived changes; when any stratum must fall back
-        (see :func:`repro.core.fixpoint.maintenance_plan`), the clean
-        and repaired overlays are salvaged into ``_reusable`` and the
-        next query rebuilds the rest.
+        repaired strata). When every dirty stratum repairs, the
+        combined overlay is patched with the net derived changes; a
+        stratum that must fall back (see
+        :func:`repro.core.fixpoint.maintenance_plan`) leaves the store
+        together with the strata downstream of it (they read its
+        now-unknown delta and fall back too), and the next read that
+        needs them re-evaluates only those.
         """
         from repro.core import fixpoint
         from repro.core.rules import patterns_overlap
@@ -343,13 +323,11 @@ class IdlEngine:
         derived_added = {}
         derived_removed = {}
         repaired = 0
-        fallbacks = 0
-        salvage = {}
+        fallen = []
         with span:
             view_base = self.universe
-            for key, stratum, overlay in self._strata:
-                if not dirty_ids.intersection(key):
-                    salvage[key] = overlay
+            for key, (stratum, overlay) in self._store.items():
+                if dirty_ids.isdisjoint(key):
                     view_base = MergedTuple(view_base, overlay)
                     continue
                 variants = None
@@ -387,7 +365,6 @@ class IdlEngine:
                     for names, elements in removed.items():
                         acc_deletes.setdefault(names, {}).update(elements)
                         derived_removed.setdefault(names, {}).update(elements)
-                    salvage[key] = overlay
                     repaired += 1
                     stats.maintained_strata += 1
                     span.event(
@@ -396,14 +373,15 @@ class IdlEngine:
                         removed=sum(len(v) for v in removed.values()),
                     )
                 else:
-                    fallbacks += 1
+                    fallen.append(key)
                     unknown = unknown + [rule.target for rule in stratum]
                     span.event("stratum-fallback", reason=reason)
                 changed_patterns.extend(rule.target for rule in stratum)
                 view_base = MergedTuple(view_base, overlay)
+            fallbacks = len(fallen)
             stats.maintain_seeded += seeded
             stats.maintain_fallbacks += fallbacks
-            span.set("strata", len(self._strata))
+            span.set("strata", len(self._store))
             span.set("repaired", repaired)
             span.set("fallbacks", fallbacks)
             span.set("seeded", seeded)
@@ -419,7 +397,9 @@ class IdlEngine:
             metrics.counter("fixpoint.maintain.rederived").inc(
                 stats.maintain_rederived - rederived_before)
             metrics.counter("fixpoint.maintain.fallbacks").inc(fallbacks)
-        if fallbacks == 0:
+        if fallen:
+            self._evict(fallen)
+        elif self._overlay is not None:
             # A fact removed from one stratum's overlay may still be
             # derived by another stratum into the same path (two strata
             # can share a target, e.g. the base and recursive rules of
@@ -437,19 +417,13 @@ class IdlEngine:
             fixpoint.apply_path_deltas(
                 self._overlay, derived_added, surviving
             )
-            return True
-        self._strata = None
-        self._overlay = None
-        self._overlay_stats = None
-        self._reusable = salvage
-        return False
 
     def _any_stratum_holds(self, names, element):
         """Does any stratum overlay still contain ``element`` at path
         ``names``?"""
         from repro.core.fixpoint import overlay_relation
 
-        for _, _, overlay in self._strata:
+        for _, overlay in self._store.values():
             relation = overlay_relation(overlay, names)
             if relation is not None and relation.contains_value(element):
                 return True
@@ -457,21 +431,46 @@ class IdlEngine:
 
     def materialized_view(self):
         """The merged (base + derived) universe for querying."""
-        from repro.core.fixpoint import combine_overlays, materialize_strata
-
         if not self.program.rules:
             return self.universe
-        if self._strata is None:
-            self._strata, self._overlay_stats = materialize_strata(
-                self.program.rules,
+        return self._materialize(self.program.rules)
+
+    def _materialize(self, rules):
+        """The merged view over a store holding at least ``rules``.
+
+        ``rules`` is dependency-closed (the whole program, or a query's
+        needed set). When the store already holds every one of them
+        this is a lookup; otherwise the strata it lacks are evaluated
+        over the held ones, appended to the store (dependencies stay
+        ahead of dependents, because what the store holds is closed
+        too) and merged into the combined overlay.
+        """
+        from repro.core import fixpoint
+
+        held = self._held
+        if any(id(rule) not in held for rule in rules):
+            strata, stats = fixpoint.materialize_strata(
+                rules,
                 self.universe,
                 method=self.fixpoint_method,
                 context=self.eval_ctx,
-                reuse=self._reusable,
+                reuse=self._store,
             )
-            self._reusable = {}
-            self._overlay = combine_overlays(
-                [overlay for _, _, overlay in self._strata]
+            added = []
+            for key, stratum, overlay in strata:
+                if key not in self._store:
+                    self._store[key] = (stratum, overlay)
+                    held.update(key)
+                    added.append(overlay)
+            if self._overlay_stats is None:
+                self._overlay_stats = stats
+            else:
+                self._overlay_stats.absorb(stats)
+            if self._overlay is not None:
+                fixpoint.combine_overlays(added, into=self._overlay)
+        if self._overlay is None:
+            self._overlay = fixpoint.combine_overlays(
+                overlay for _, overlay in self._store.values()
             )
         return MergedTuple(self.universe, self._overlay)
 
@@ -513,65 +512,28 @@ class IdlEngine:
 
         Without pruning this is :meth:`materialized_view`. With pruning,
         the statement's read set (closed through view rules) selects the
-        subset of rules that must be materialized; the subset's combined
-        overlay is cached per rule set until the next invalidation. The
-        needed set is dependency-downward-closed, so the pruned overlay
-        agrees with the full one on every relation the query can read.
+        subset of rules that must be materialized, and only the strata
+        of that subset the store lacks are evaluated. The needed set is
+        dependency-downward-closed, so each of its strata is exactly
+        the stratum of the full program and serves every later query.
         """
-        from repro.core.fixpoint import combine_overlays, materialize_strata
-
         rules = self.program.rules
         total = len(rules)
+        reads = None
         if not self.prune or not rules:
-            view = self.materialized_view()
-            self._last_stats = self._overlay_stats
-            self.last_prune = PruneDecision(
-                False, None, total, total,
-                "no-rules" if not rules else "off",
-            )
-            return view
-        analysis = self.effect_analysis()
-        reads, needed = analysis.query_footprint(statement)
-        if len(needed) == total:
-            view = self.materialized_view()
-            self._last_stats = self._overlay_stats
-            self.last_prune = PruneDecision(False, reads, total, total, "full")
-            return view
+            needed, reason = rules, "off" if rules else "no-rules"
+        else:
+            reads, needed = self.effect_analysis().query_footprint(statement)
+            reason = "full" if len(needed) == total else "pruned"
         self.last_prune = PruneDecision(
-            True, reads, len(needed), total, "pruned"
+            reason == "pruned", reads, len(needed), total, reason
         )
         if not needed:
             self._last_stats = None
             return self.universe
-        key = tuple(sorted(id(rule) for rule in needed))
-        metrics = self.eval_ctx.metrics
-        cached = self._pruned_cache.pop(key, None)
-        if cached is not None:
-            # Re-insert to mark the entry most recently used.
-            self._pruned_cache[key] = cached
-            if metrics is not None:
-                metrics.counter("evaluator.pruned_cache.hits").inc()
-        else:
-            if metrics is not None:
-                metrics.counter("evaluator.pruned_cache.misses").inc()
-            strata, stats = materialize_strata(
-                needed,
-                self.universe,
-                method=self.fixpoint_method,
-                context=self.eval_ctx,
-                reuse={},
-            )
-            overlay = combine_overlays(
-                [overlay for _, _, overlay in strata]
-            )
-            if len(self._pruned_cache) >= self.PRUNED_CACHE_SIZE:
-                self._pruned_cache.pop(next(iter(self._pruned_cache)))
-                if metrics is not None:
-                    metrics.counter("evaluator.pruned_cache.evictions").inc()
-            self._pruned_cache[key] = cached = (overlay, stats)
-        overlay, stats = cached
-        self._last_stats = stats
-        return MergedTuple(self.universe, overlay)
+        view = self._materialize(needed)
+        self._last_stats = self._overlay_stats
+        return view
 
     # -- queries ------------------------------------------------------------
 
@@ -675,11 +637,10 @@ class IdlEngine:
         span = (obs.span("engine.update")
                 if obs is not None and obs.enabled else NOOP_SPAN)
         executor = UpdateExecutor(self.program, self.universe, self.eval_ctx)
-        # Capture concrete element-level deltas only when there is a
-        # live materialization to maintain with them; otherwise the
+        # Capture concrete element-level deltas only when the store
+        # holds strata to maintain with them; otherwise the
         # capture hooks stay no-ops and the update pays nothing.
-        capture = (self.maintain and self._strata is not None
-                   and bool(self.program.rules))
+        capture = self.maintain and bool(self._store)
         uctx = UpdateContext(self.eval_ctx,
                              delta=UpdateDelta() if capture else None)
         snapshot = self.universe.snapshot() if atomic else None

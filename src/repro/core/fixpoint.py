@@ -72,6 +72,14 @@ class FixpointStats:
         self.maintain_rederived = 0
         self.maintain_fallbacks = 0
 
+    def absorb(self, other):
+        """Add the evaluation counters of another run (a later
+        materialization that grew the same store)."""
+        self.rounds += other.rounds
+        self.rule_firings += other.rule_firings
+        self.derivations += other.derivations
+        self.reused_strata += other.reused_strata
+
     def __repr__(self):
         rendered = (
             f"FixpointStats({self.strategy}, rounds={self.rounds}, "
@@ -107,10 +115,13 @@ def materialize_strata(analyzed_rules, universe, method="seminaive",
     """Materialize per-stratum overlays, reusing clean cached ones.
 
     Returns ``([(key, stratum, overlay), ...], stats)`` in evaluation
-    order. ``reuse`` maps a stratum key (tuple of rule identities) to a
-    previously-computed overlay known to still be valid — the engine's
-    selective re-materialization passes the overlays of strata whose
-    inputs were not touched by the last update.
+    order. A stratum's key is the frozenset of its rules' identities —
+    canonical, so the same SCC gets the same key whether it was
+    stratified inside a pruned rule subset or the whole program.
+    ``reuse`` maps a stratum key to a previously computed
+    ``(stratum, overlay)`` entry known to still be valid — the engine
+    passes its materialization store, so only strata it does not hold
+    are evaluated.
     """
     if method not in ("naive", "seminaive"):
         raise ValueError(f"unknown fixpoint method {method!r}")
@@ -124,7 +135,7 @@ def materialize_strata(analyzed_rules, universe, method="seminaive",
              if tracer is not None else NOOP_SPAN)
     with outer:
         for index, stratum in enumerate(stratify(analyzed_rules)):
-            key = tuple(id(analyzed) for analyzed in stratum)
+            key = frozenset(id(analyzed) for analyzed in stratum)
             cached = reuse.get(key) if reuse else None
             span = (tracer.span("fixpoint.stratum", index=index,
                                 rules=len(stratum))
@@ -134,7 +145,7 @@ def materialize_strata(analyzed_rules, universe, method="seminaive",
                 firings = stats.rule_firings
                 derivations = stats.derivations
                 if cached is not None:
-                    overlay = cached
+                    overlay = cached[1]
                     stats.reused_strata += 1
                     span.set("reused", True)
                 else:
@@ -170,9 +181,10 @@ def materialize_strata(analyzed_rules, universe, method="seminaive",
     return overlays, stats
 
 
-def combine_overlays(overlays):
-    """Deep-merge overlay tuples into one (sets union, tuples recurse)."""
-    combined = TupleObject()
+def combine_overlays(overlays, into=None):
+    """Deep-merge overlay tuples into one (sets union, tuples recurse);
+    ``into`` extends an existing combined overlay in place."""
+    combined = TupleObject() if into is None else into
     for overlay in overlays:
         _merge_into(combined, overlay)
     return combined

@@ -222,7 +222,7 @@ class _UpdateState:
     def __init__(self, update_id, seq, desired, origin):
         self.update_id = update_id
         self.seq = seq
-        self.desired = desired
+        self.desired = desired  # {member: {rel: rows}}; names once resolved
         self.applied = {}  # member -> via of the successful apply
         self.failed = set()
         self.origin = origin
@@ -329,6 +329,9 @@ class UpdateJournal:
                 )
             state.status = COMMITTED if kind == COMMIT else ABORTED
             state.resolved_seq = seq
+            # Only pending updates are ever replayed: a resolved one
+            # keeps its member names, not its staged rows.
+            state.desired = tuple(state.desired)
             if kind == COMMIT:
                 self._last_committed_seq = max(self._last_committed_seq, seq)
         else:

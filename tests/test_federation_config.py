@@ -1,8 +1,7 @@
 """FederationConfig: the consolidated federation construction surface.
 
 Covers field validation, ``Federation.from_config``, ``replace``
-re-validation, and the legacy-keyword shim (still functional, one
-``DeprecationWarning`` per process).
+re-validation, and the removal of the legacy per-field keywords.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import warnings
 
 import pytest
 
-import repro.multidb.config as config_module
 from repro.errors import FederationError
 from repro.multidb import (
     Federation,
@@ -116,29 +114,24 @@ class TestFromConfig:
 
 
 class TestLegacyShim:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_budget(self, monkeypatch):
-        monkeypatch.setattr(config_module, "_legacy_warned", False)
+    """The per-field ``Federation(...)`` keywords are gone; their
+    callers build a :class:`FederationConfig`."""
 
-    def test_legacy_kwargs_still_build_a_federation(self, workload):
+    def test_legacy_kwargs_are_rejected(self):
         journal = InMemoryJournal()
-        with pytest.warns(DeprecationWarning, match="from_config"):
-            federation = Federation(journal=journal, prune="off")
+        with pytest.raises(TypeError):
+            Federation(journal=journal, prune="off")
+        federation = Federation.from_config(
+            FederationConfig(journal=journal, prune="off")
+        )
         assert federation.journal is journal
         assert federation.prune == "off"
         assert federation.config.prune == "off"
 
-    def test_warns_once_per_process(self):
-        with pytest.warns(DeprecationWarning):
-            Federation(prune="on")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            Federation(prune="on")  # the budget is spent; silent now
-
     def test_legacy_validation_error_is_unchanged(self):
         with pytest.raises(FederationError,
                            match="prune must be 'on' or 'off'"):
-            Federation(prune="maybe")
+            Federation.from_config(FederationConfig(prune="maybe"))
 
     def test_plain_construction_does_not_warn(self):
         with warnings.catch_warnings():

@@ -20,8 +20,18 @@ from repro.core.parser import parse_rule
 from repro.core.rules import analyze_rule
 from repro.core.terms import Const
 from repro.core.updates import UpdateDelta
+from repro.errors import IdlError, MemberUnavailableError
+from repro.multidb import (
+    FakeClock,
+    FaultyConnector,
+    Federation,
+    FederationConfig,
+    InMemoryConnector,
+    ResiliencePolicy,
+)
 from repro.obs import InMemoryCollector, Observability
 from repro.objects import from_python
+from repro.workloads.stocks import StockWorkload
 from tests.conftest import answers_set
 
 
@@ -323,3 +333,187 @@ def test_join_and_negation_maintenance_equals_rebuild(sequence):
         lhs = {tuple(sorted(a.items())) for a in incremental.query(source)}
         rhs = {tuple(sorted(a.items())) for a in reference.query(source)}
         assert lhs == rhs
+
+
+# -- property: pruned reads fill one store that repair keeps exact ------------
+
+VIEWS = {
+    "vj": ".vj.p(.x=X, .y=Y) <- .a.r(.x=X), .b.s(.y=Y)",
+    "vn": ".vn.q(.x=X) <- .a.r(.x=X), .b.s~(.y=X)",
+    "vd": ".vd.d(.x=X) <- .vj.p(.x=X, .y=X)",
+    "od_rec": ".g.od(.a=X, .b=Y) <- .g.edge(.a=X, .b=Z), .g.ev(.a=Z, .b=Y)",
+    "od": ".g.od(.a=X, .b=Y) <- .g.edge(.a=X, .b=Y)",
+    "ev": ".g.ev(.a=X, .b=Y) <- .g.edge(.a=X, .b=Z), .g.od(.a=Z, .b=Y)",
+}
+#: One query per view family; with pruning each reads a rule subset.
+VIEW_QUERIES = (
+    "?.vj.p(.x=X, .y=Y)",
+    "?.vn.q(.x=X)",
+    "?.vd.d(.x=X)",
+    "?.g.ev(.a=X, .b=Y)",
+    "?.g.od(.a=X, .b=Y)",
+)
+
+store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["+r", "-r", "+s", "-s"]),
+                  st.integers(0, 3), st.just(0)),
+        st.tuples(st.sampled_from(["+edge", "-edge"]),
+                  st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.just("read"),
+                  st.integers(0, len(VIEW_QUERIES) - 1), st.just(0)),
+    ),
+    max_size=14,
+)
+
+
+def build_store_engine(prune=False):
+    engine = IdlEngine(prune=prune)
+    engine.add_database("a", {"r": [{"x": 1}]})
+    engine.add_database("b", {"s": [{"y": 1}]})
+    engine.add_database("g", {"edge": [{"a": 0, "b": 1}, {"a": 1, "b": 2}]})
+    for source in VIEWS.values():
+        engine.define(source)
+    return engine
+
+
+def answer_rows(engine, source):
+    return {tuple(sorted(answer.items())) for answer in engine.query(source)}
+
+
+@given(st.booleans(), store_ops)
+@settings(max_examples=60, deadline=None)
+def test_pruned_store_maintenance_equals_rebuild(prune, sequence):
+    incremental = build_store_engine(prune=prune)
+    reference = build_store_engine()
+    for op, first, second in sequence:
+        if op == "read":
+            source = VIEW_QUERIES[first]
+            reference.invalidate()
+            assert answer_rows(incremental, source) == answer_rows(
+                reference, source)
+            continue
+        sign, relation = op[0], op[1:]
+        if relation == "edge":
+            request = f"?.g.edge{sign}(.a={first}, .b={second})"
+        elif relation == "r":
+            request = f"?.a.r{sign}(.x={first})"
+        else:
+            request = f"?.b.s{sign}(.y={first})"
+        incremental.update(request)
+        reference.update(request)
+    reference.invalidate()
+    for source in VIEW_QUERIES:
+        assert answer_rows(incremental, source) == answer_rows(
+            reference, source)
+
+
+# -- federation: pruned reads get incremental repair ---------------------------
+
+STYLES = ("euter", "chwab", "ource")
+
+
+def build_stock_federation(relations_for, faulty=None):
+    """Three in-memory members with one customized view per style;
+    ``faulty`` (style -> FaultyConnector) replaces their connectors."""
+    federation = Federation.from_config(FederationConfig())
+    for style in STYLES:
+        connector = (faulty or {}).get(style) or InMemoryConnector(
+            relations_for(style))
+        federation.add_member(
+            style, style, connector=connector,
+            policy=ResiliencePolicy(max_attempts=1, jitter=0.0),
+            clock=FakeClock(),
+        )
+    for style in STYLES:
+        federation.add_user_view(f"u_{style}", style)
+    federation.install()
+    return federation
+
+
+def federation_queries(workload):
+    symbol = workload.symbols[0]
+    return [
+        "?.dbI.p(.date=D, .stk=S, .price=P)",
+        "?.u_euter.r(.date=D, .stkCode=S, .clsPrice=P)",
+        f"?.u_chwab.r(.date=D, .{symbol}=P)",
+        f"?.u_ource.{symbol}(.date=D, .clsPrice=P)",
+    ]
+
+
+def rebuilt_engine(engine):
+    """A fresh engine over a copy of ``engine``'s universe: the oracle
+    every repaired or rolled-back store must agree with."""
+    return IdlEngine(universe=engine.universe.snapshot(),
+                     program=engine.program)
+
+
+def assert_store_equals_rebuild(engine, queries):
+    fresh = rebuilt_engine(engine)
+    for source in queries:
+        assert answer_rows(engine, source) == answer_rows(fresh, source)
+
+
+class TestPrunedFederationRepair:
+    def test_updates_repair_the_store_pruned_reads_filled(self):
+        workload = StockWorkload(n_stocks=3, n_days=2, seed=7)
+        federation = build_stock_federation(workload.relations_for)
+        federation.query("?.dbI.p(.date=D, .stk=S, .price=P)")
+        assert federation.engine.last_prune.reason == "pruned"
+        metrics = federation.obs.metrics
+        runs = metrics.counter_value("fixpoint.maintain.runs")
+        federation.insert_quote(workload.symbols[1], "9/9/99", 9.0)
+        federation.delete_quote(workload.symbols[0], workload.days[0])
+        assert metrics.counter_value("fixpoint.maintain.runs") == runs + 2
+        queries = federation_queries(workload)
+        answers = [answer_rows(federation.engine, q) for q in queries]
+        assert federation.engine.last_fixpoint_stats.maintained_strata > 0
+        fresh = build_stock_federation(
+            lambda style: federation.connectors[style].scan())
+        assert answers == [answer_rows(fresh.engine, q) for q in queries]
+        assert federation.unified_quotes() == fresh.unified_quotes()
+
+
+class TestRollbackEqualsRebuild:
+    """A failed update leaves a store whose answers equal a rebuild."""
+
+    def fill(self, federation, workload):
+        for source in federation_queries(workload)[1:]:
+            federation.query(source, on_unavailable="partial")
+            assert federation.engine.last_prune.reason == "pruned"
+        assert federation.engine._store
+
+    def test_atomic_update_that_raises(self):
+        workload = StockWorkload(n_stocks=3, n_days=2, seed=7)
+        federation = build_stock_federation(workload.relations_for)
+        self.fill(federation, workload)
+        engine = federation.engine
+        engine.declare_key("euter", "r", ["date", "stkCode"])
+        before = rebuilt_engine(engine)
+        queries = federation_queries(workload)
+        with pytest.raises(IdlError):
+            # A second price for an existing quote violates the key.
+            federation.insert_quote(workload.symbols[0], workload.days[0],
+                                    1.0)
+        assert_store_equals_rebuild(engine, queries)
+        for source in queries:
+            assert answer_rows(engine, source) == answer_rows(before, source)
+        self.fill(federation, workload)
+        federation.delete_quote(workload.symbols[1], workload.days[1])
+        assert_store_equals_rebuild(engine, queries)
+
+    def test_flush_whose_connector_apply_fails(self):
+        workload = StockWorkload(n_stocks=3, n_days=2, seed=7)
+        faulty = FaultyConnector(
+            InMemoryConnector(workload.relations_for("chwab")))
+        federation = build_stock_federation(workload.relations_for,
+                                            faulty={"chwab": faulty})
+        self.fill(federation, workload)
+        engine = federation.engine
+        queries = federation_queries(workload)
+        faulty.fail_next(1)
+        with pytest.raises(MemberUnavailableError):
+            federation.delete_quote(workload.symbols[1], workload.days[0])
+        assert_store_equals_rebuild(engine, queries)
+        self.fill(federation, workload)
+        assert_store_equals_rebuild(engine, queries)

@@ -12,7 +12,15 @@ import json
 
 import pytest
 
-from repro.errors import JournalError
+from repro.errors import JournalError, MemberUnavailableError
+from repro.multidb import (
+    FakeClock,
+    FaultyConnector,
+    Federation,
+    FederationConfig,
+    InMemoryConnector,
+    ResiliencePolicy,
+)
 from repro.multidb.journal import (
     CrashInjector,
     CrashPoint,
@@ -22,6 +30,7 @@ from repro.multidb.journal import (
     decode_record,
     encode_record,
 )
+from repro.workloads.stocks import StockWorkload
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +359,76 @@ class TestNullJournal:
         assert journal.resolve_member("alpha") == []
         assert journal.reopen() is journal
         assert journal.status()["backend"] == "NullJournal"
+
+
+# ---------------------------------------------------------------------------
+# Memory held for resolved updates
+# ---------------------------------------------------------------------------
+
+
+class TestResolvedUpdatesDropRows:
+    """A resolved update is never replayed, so the journal keeps only
+    its member names — a long-running federation must not hold every
+    committed update's staged rows."""
+
+    STYLES = ("euter", "chwab", "ource")
+
+    def build(self):
+        workload = StockWorkload(n_stocks=3, n_days=2, seed=7)
+        federation = Federation.from_config(FederationConfig())
+        faulty = {}
+        for style in self.STYLES:
+            faulty[style] = FaultyConnector(
+                InMemoryConnector(workload.relations_for(style)))
+            federation.add_member(
+                style, style, connector=faulty[style],
+                policy=ResiliencePolicy(max_attempts=1, jitter=0.0),
+                clock=FakeClock(),
+            )
+        federation.install()
+        return federation, faulty
+
+    @staticmethod
+    def resolved(journal):
+        return [state for state in journal._states.values()
+                if state.status != "pending"]
+
+    def test_committed_updates_keep_member_names_only(self):
+        federation, _ = self.build()
+        for day in range(5):
+            federation.insert_quote("nova", f"9/{day + 1}/99", 9.0 + day)
+        journal = federation.journal
+        resolved = self.resolved(journal)
+        assert len(resolved) == 5
+        for state in resolved:
+            assert not isinstance(state.desired, dict)
+            assert state.desired and all(
+                isinstance(member, str) for member in state.desired)
+        assert journal.pending() == []
+        assert journal.status()["committed"] == 5
+        # The log itself stays append-only: every intent is still there.
+        intents = [r for r in journal.records() if r["type"] == "intent"]
+        assert len(intents) == 5 and all(r["members"] for r in intents)
+
+    def test_pending_and_recover_still_see_rows(self):
+        federation, faulty = self.build()
+        federation.insert_quote("nova", "9/1/99", 9.0)
+        faulty["euter"].fail_next(1)
+        with pytest.raises(MemberUnavailableError):
+            federation.insert_quote("nova", "9/2/99", 10.0)
+        journal = federation.journal
+        (update,) = journal.pending()
+        assert "euter" in update.remaining
+        assert isinstance(update.desired["euter"], dict)
+        assert update.desired["euter"]["r"]
+        assert journal.status()["pending"] == [update.update_id]
+        replayed = federation.recover()
+        assert "euter" in replayed[update.update_id]
+        assert journal.pending() == []
+        assert journal.is_committed(update.update_id)
+        for state in self.resolved(journal):
+            assert not isinstance(state.desired, dict)
+        # The replayed member holds the journaled post-state.
+        rows = faulty["euter"].scan()["r"]
+        assert any(row["stkCode"] == "nova" and row["date"] == "9/2/99"
+                   for row in rows)

@@ -124,10 +124,9 @@ class TestInvalidateEdgeCases:
         engine.materialized_view()
         # An empty prefix means "somewhere unknown": everything goes.
         engine._selective_invalidate({()})
-        assert engine._strata is None
+        assert engine._store == {}
+        assert engine._held == set()
         assert engine._overlay is None
-        assert engine._reusable == {}
-        assert engine._pruned_cache == {}
 
     def test_derived_target_only_touch_dirties_view(self):
         # A touch landing on a path that is only a view's *target* (not
@@ -136,10 +135,9 @@ class TestInvalidateEdgeCases:
         engine = build_engine(maintain=False)
         engine.materialized_view()
         engine._selective_invalidate({("va", "p")})
-        assert engine._strata is None
         # va is dirty (target touched), vc is dirty (reads va.p);
-        # only vb's stratum remains reusable.
-        assert len(engine._reusable) == 1
+        # only vb's stratum stays in the store.
+        assert len(engine._store) == 1
         engine.materialized_view()
         assert engine.fixpoint_stats.reused_strata == 1
 
@@ -154,8 +152,7 @@ class TestInvalidateEdgeCases:
         engine.define(".v3.w(.z=Z) <- .b.s(.z=Z)")
         engine.materialized_view()
         engine.update("?.a.r+(.x=2)")
-        assert engine._strata is None
-        assert len(engine._reusable) == 1  # only v3's stratum survives
+        assert len(engine._store) == 1  # only v3's stratum survives
         engine.materialized_view()
         assert engine.fixpoint_stats.reused_strata == 1
         assert answers_set(engine.query("?.v2.q(.x=X)"), "X") == {1, 2}
@@ -169,24 +166,25 @@ class TestPrunedCacheRetention:
         engine.define(".va.p(.x=X) <- .a.r(.x=X)")
         engine.define(".vb.q(.y=Y) <- .b.s(.y=Y)")
         assert answers_set(engine.query("?.va.p(.x=X)"), "X") == {1, 2}
-        assert len(engine._pruned_cache) == 1
-        (key,) = engine._pruned_cache
-        # b.s feeds only vb: the cached va-only overlay spans clean
-        # strata exclusively and must survive the selective invalidate.
+        assert len(engine._store) == 1
+        ((key, (_, overlay)),) = engine._store.items()
+        # b.s feeds only vb: the held va-only stratum is clean and must
+        # survive the selective invalidate untouched.
         engine.update("?.b.s+(.y=20)")
-        assert list(engine._pruned_cache) == [key]
+        assert list(engine._store) == [key]
+        assert engine._store[key][1] is overlay
         assert answers_set(engine.query("?.va.p(.x=X)"), "X") == {1, 2}
 
     def test_pruned_overlay_dropped_when_input_changes(self):
-        engine = IdlEngine(prune=True)
+        engine = IdlEngine(prune=True, maintain=False)
         engine.add_database("a", {"r": [{"x": 1}]})
         engine.add_database("b", {"s": [{"y": 10}]})
         engine.define(".va.p(.x=X) <- .a.r(.x=X)")
         engine.define(".vb.q(.y=Y) <- .b.s(.y=Y)")
         engine.query("?.va.p(.x=X)")
-        assert len(engine._pruned_cache) == 1
+        assert len(engine._store) == 1
         engine.update("?.a.r+(.x=2)")
-        assert engine._pruned_cache == {}
+        assert engine._store == {}
         assert answers_set(engine.query("?.va.p(.x=X)"), "X") == {1, 2}
 
 
@@ -222,3 +220,88 @@ def test_selective_equals_full_rebuild(sequence):
         lhs = {tuple(sorted(a.items())) for a in selective.query(source)}
         rhs = {tuple(sorted(a.items())) for a in reference.query(source)}
         assert lhs == rhs
+
+
+class TestMaterializationStore:
+    """Pruned and full reads share one per-stratum store."""
+
+    # The mutually recursive ev/od pair is one SCC; od's base rule is a
+    # stratum of its own. Listing the recursive od rule first makes a
+    # pruned read of g.ev collect the SCC's rules in a different order
+    # than the full program does.
+    PROGRAM = (
+        ".g.od(.a=X, .b=Y) <- .g.edge(.a=X, .b=Z), .g.ev(.a=Z, .b=Y)",
+        ".g.od(.a=X, .b=Y) <- .g.edge(.a=X, .b=Y)",
+        ".g.ev(.a=X, .b=Y) <- .g.edge(.a=X, .b=Z), .g.od(.a=Z, .b=Y)",
+        ".w.n(.a=X) <- .other.t(.a=X)",
+    )
+
+    def build(self, prune=True):
+        engine = IdlEngine(prune=prune)
+        engine.add_database("g", {"edge": [
+            {"a": 0, "b": 1}, {"a": 1, "b": 2}, {"a": 2, "b": 3},
+        ]})
+        engine.add_database("other", {"t": [{"a": 9}]})
+        for source in self.PROGRAM:
+            engine.define(source)
+        return engine
+
+    def test_recursive_scc_is_reused_not_duplicated(self):
+        engine = self.build()
+        pruned = answers_set(engine.query("?.g.ev(.a=X, .b=Y)"), "X", "Y")
+        assert engine.last_prune.reason == "pruned"
+        scc = frozenset(id(rule) for rule in engine.program.rules[:3:2])
+        assert scc in engine._store
+        overlay = engine._store[scc][1]
+        engine.materialized_view()
+        # Three strata in all: the SCC, od's base rule, and w.n.
+        assert len(engine._store) == 3
+        assert engine._store[scc][1] is overlay
+        assert engine.fixpoint_stats.reused_strata == 2
+        full = self.build(prune=False)
+        assert pruned == answers_set(full.query("?.g.ev(.a=X, .b=Y)"),
+                                     "X", "Y") == {(0, 2), (1, 3)}
+
+    def test_held_read_does_not_materialize(self):
+        engine = self.build()
+        engine.materialized_view()
+        stats = engine.fixpoint_stats
+        rounds = stats.rounds
+        engine.query("?.g.ev(.a=X, .b=Y)")
+        engine.query("?.w.n(.a=X)")
+        assert engine.fixpoint_stats is stats
+        assert stats.rounds == rounds
+        assert stats.reused_strata == 0
+
+    def test_pruned_read_is_repaired_in_place(self):
+        engine = self.build()
+        engine.query("?.g.ev(.a=X, .b=Y)")
+        held = dict(engine._store)
+        engine.update("?.g.edge+(.a=3, .b=4)")
+        assert engine._store == held
+        assert engine.last_fixpoint_stats.maintained_strata >= 1
+        # Even-length paths over 0 -> 1 -> 2 -> 3 -> 4.
+        assert answers_set(engine.query("?.g.ev(.a=X, .b=Y)"), "X", "Y") == {
+            (0, 2), (1, 3), (2, 4), (0, 4),
+        }
+        assert engine.fixpoint_stats.maintain_fallbacks == 0
+
+    def test_fallback_evicts_only_the_stratum_and_downstream(self):
+        engine = IdlEngine(prune=True)
+        engine.add_database("a", {"r": [{"x": 1}], "q": [{"x": 5}]})
+        engine.add_database("b", {"s": [{"y": 10}]})
+        engine.define(".va.p(.x=X) <- .a.r(.x=X)")
+        engine.define(".vc.j(.x=X) <- .va.p(.x=X)")
+        engine.define(".vb.q(.y=Y) <- .b.s(.y=Y)")
+        engine.materialized_view()
+        vb_key = frozenset({id(engine.program.rules[2])})
+        vb_overlay = engine._store[vb_key][1]
+        # Dropping a relation is a metadata update: its delta is
+        # symbolic, so va cannot be repaired, nor can vc downstream.
+        engine.update("?.a-.r")
+        assert list(engine._store) == [vb_key]
+        assert engine._store[vb_key][1] is vb_overlay
+        assert engine.fixpoint_stats.maintain_fallbacks == 2
+        assert engine.query("?.vc.j(.x=X)") == []
+        assert answers_set(engine.query("?.vb.q(.y=Y)"), "Y") == {10}
+        assert len(engine._store) == 3
