@@ -23,11 +23,15 @@ from __future__ import annotations
 import time
 
 from repro.core import ast
-from repro.core.evaluator import EvalContext, answers, holds
+from repro.core.evaluator import EvalContext, holds
+# Answers stay rows of objects until rendered; the query path calls them
+# by this module-level name (perfbench's per-layer tracing wraps it).
+from repro.core.evaluator import answer_rows as answers
 from repro.core.parser import parse_program
 from repro.core.program import IdlProgram
 from repro.core.update_programs import UpdateExecutor
 from repro.errors import IdlError, SemanticError
+from repro.objects.base import ATOM
 from repro.objects.merged import MergedTuple
 from repro.objects.tuple import TupleObject
 from repro.objects.universe import Universe
@@ -554,32 +558,31 @@ class IdlEngine:
         if obs is None or not obs.enabled:
             if obs is None:
                 view = self._view_for(statement)
-                results = answers(statement, view, params or None,
-                                  self.eval_ctx)
-                return self._render_answers(results)
+                return self._render_answers(answers(
+                    statement, view, params or None, self.eval_ctx))
             # Tracing off but metrics on: time the query explicitly so
             # the engine.query.ms window (rates, percentiles) keeps
             # feeding /metrics and the SLO layer.
             started = time.perf_counter()
             view = self._view_for(statement)
-            results = answers(statement, view, params or None, self.eval_ctx)
+            rows = answers(statement, view, params or None, self.eval_ctx)
             obs.metrics.histogram("engine.query.ms").observe(
                 (time.perf_counter() - started) * 1000.0
             )
-            return self._render_answers(results)
+            return self._render_answers(rows)
         with obs.span("engine.query") as span:
             view = self._view_for(statement)
             context = self._profiled_context()
             with obs.span("engine.evaluate") as evaluate_span:
-                results = answers(statement, view, params or None, context)
-                evaluate_span.set("answers", len(results))
+                rows = answers(statement, view, params or None, context)
+                evaluate_span.set("answers", len(rows))
                 if context.counters is not None:
                     evaluate_span.set("counters", dict(context.counters))
-            span.set("answers", len(results))
+            span.set("answers", len(rows))
         duration_ms = span.duration_ms
         if duration_ms is not None:
             obs.metrics.histogram("engine.query.ms").observe(duration_ms)
-        return self._render_answers(results)
+        return self._render_answers(rows)
 
     def ask(self, source, **params):
         """Boolean query: is the expression satisfiable?"""
@@ -597,30 +600,35 @@ class IdlEngine:
             span.set("satisfiable", result)
         return result
 
-    def _render_answers(self, results):
+    @staticmethod
+    def _render_answers(rows):
+        """One :class:`QueryAnswer` per row of
+        :class:`~repro.core.evaluator.AnswerRows`."""
+        names = rows.names
         return [
-            QueryAnswer(
-                {
-                    name: obj.to_python()
-                    for name, obj in sorted(substitution.as_dict().items())
-                }
-            )
-            for substitution in results
+            QueryAnswer({
+                name: obj.value if obj.category == ATOM else obj.to_python()
+                for name, obj in zip(names, row)
+            })
+            for row in rows
         ]
 
     def _profiled_context(self):
         """A per-statement evaluation context that collects node-visit
         counters (when the observability asks for profiles) while
-        sharing the engine tracer and metrics. The shared ``eval_ctx``
-        keeps serving the un-observed path and the fixpoint."""
+        sharing the engine tracer, metrics and compiled plans. The
+        shared ``eval_ctx`` keeps serving the un-observed path and the
+        fixpoint."""
         obs = self.obs
-        return EvalContext(
+        context = EvalContext(
             reorder=self.eval_ctx.reorder,
             profile=obs.profile_queries,
             tracer=self.eval_ctx.tracer,
             metrics=self.eval_ctx.metrics,
             use_indexes=self.eval_ctx.use_indexes,
         )
+        context.plans = self.eval_ctx.plans
+        return context
 
     # -- updates ------------------------------------------------------------
 

@@ -18,30 +18,65 @@ substitutions under which an object satisfies an expression:
 The answer to a query is the set of grounding substitutions satisfying
 it (deduplicated by binding signature); a variable-free query evaluates
 to a boolean.
+
+Compiled plans
+--------------
+
+Expressions are not interpreted node by node. Each one is compiled, once
+per *shape* and bound-variable domain, into a :class:`Plan`: a tree of
+closures over a per-call slot list ``env``. The shape is the expression
+with every constant in value position (``=d1``, ``>60``) and every
+string constant in attribute position (``.date``) lifted into a
+parameter vector, so ``?.r(.date=d1)`` and ``?.r(.date=d2)`` share one
+plan. ``env`` holds the evaluation context, the caller's substitution,
+the parameters and one slot per variable. Because the domain is fixed at
+compile time, every node knows statically which variables are bound
+when it runs: it reads those slots and overwrites the others, so no
+binding is ever undone and no substitution is walked.
+
+Compilation does the work the interpreter used to repeat per call: the
+safety ordering of every conjunction, the index-probe choice of every
+set expression, slot indices, and the *existential cut* — a set
+expression whose inner part binds no new variable is a pure existence
+test, so it stops at its first satisfying element (``?.X.Y(.stkCode)``
+tests one element per relation). Nodes that yield at most one solution
+compile to tests returning a bool; the others to lazy generators.
+
+Plans live in one bounded LRU :class:`PlanCache` per
+:class:`EvalContext` (the engine shares its context's cache with the
+per-statement profiled contexts). A context that profiles or traces runs
+an instrumented plan from the same compiler: every node visit counts
+``visits`` and its node kind and fires the trace hook. Errors are raised
+when the offending node is reached, never at compile time — an unbound
+variable where a value is needed or an unorderable conjunction
+(:class:`SafetyError`), a non-string attribute constant
+(:class:`EvaluationError`).
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+from operator import itemgetter
+
 from repro.core import ast
-from repro.core.safety import order_conjuncts
-from repro.core.substitution import Substitution
-from repro.core.terms import NOT_A_NAME, Const, Var, evaluate_term, term_name
-from repro.errors import EvaluationError
+from repro.core.safety import order_conjuncts, produced_vars
+from repro.core.substitution import EMPTY, Substitution
+from repro.core.terms import Const, Var, _numeric, arithmetic
+from repro.errors import EvaluationError, SafetyError
 from repro.objects.atom import Atom, compare_values
-from repro.objects.base import same_value
+from repro.objects.base import ATOM, SET, TUPLE, same_value
 from repro.objects.set import SetObject
 
-#: Bound on the per-context caches (safety orderings and probe plans).
-#: Long-lived engines and federations evaluate an unbounded stream of
-#: distinct (expression, domain) pairs — delta-rewritten rule variants
-#: are freshly allocated every materialization — so both caches evict
-#: their least-recently-used entry past this size.
-ORDER_CACHE_LIMIT = 1024
-PROBE_CACHE_LIMIT = 1024
+#: Bound on every :class:`PlanCache`. Long-lived engines and federations
+#: evaluate an unbounded stream of expressions — delta-rewritten rule
+#: variants are freshly allocated every materialization — so the cache
+#: evicts its least-recently-used entry past this size.
+PLAN_CACHE_LIMIT = 1024
 
 
 class EvalContext:
-    """Evaluation options and per-evaluation caches.
+    """Evaluation options and the plan cache.
 
     ``reorder``     — apply safety goal reordering (default True; the B3
                       ablation turns it off for already-ordered programs).
@@ -60,14 +95,17 @@ class EvalContext:
                       fixpoint hangs its per-stratum spans off it. None
                       (the default) keeps the hot path branch-free.
     ``metrics``     — optional :class:`repro.obs.metrics.MetricsRegistry`
-                      receiving coarse counters (reorderings computed,
-                      index builds/hits/misses/fallbacks, cache
-                      evictions, fixpoint totals). Guarded by
-                      ``is not None`` everywhere it is touched.
+                      receiving coarse counters (plan compiles and
+                      evictions, index builds/hits/misses/fallbacks,
+                      fixpoint totals). Guarded by ``is not None``
+                      everywhere it is touched.
+
+    ``plans`` is the context's :class:`PlanCache`; contexts that should
+    share compiled plans share this attribute.
     """
 
     __slots__ = ("reorder", "use_indexes", "trace", "counters", "tracer",
-                 "metrics", "_order_cache", "_probe_cache")
+                 "metrics", "plans")
 
     def __init__(self, reorder=True, trace=None, profile=False, tracer=None,
                  metrics=None, use_indexes=True):
@@ -77,225 +115,793 @@ class EvalContext:
         self.counters = {} if profile else None
         self.tracer = tracer
         self.metrics = metrics
-        self._order_cache = {}
-        self._probe_cache = {}
+        self.plans = PlanCache()
 
     def count(self, kind):
         if self.counters is not None:
             self.counters[kind] = self.counters.get(kind, 0) + 1
 
-    def ordered(self, expr, domain):
-        """Cached safety ordering of a TupleExpr for a binding domain.
 
-        Keyed by object identity for speed, but the expression itself is
-        pinned in the cache entry — otherwise a garbage-collected
-        expression's id could be reused by a different one and serve it a
-        stale ordering. The cache is LRU-bounded at
-        :data:`ORDER_CACHE_LIMIT` entries (pop-and-reinsert marks
-        recency) so long-lived contexts cannot grow without limit.
+class Plan:
+    """A compiled expression for one shape, domain and option set.
+
+    ``run(env, obj)`` returns a bool when ``det`` (at most one solution)
+    and otherwise an iterable that advances once per solution, leaving
+    the solution's bindings in ``env``. ``seeds`` are the ``(name,
+    slot)`` pairs filled from the caller's substitution, ``fresh`` the
+    pairs the plan binds, ``names``/``slots`` the sorted variables bound
+    after success (the answer columns). ``template`` is the env layout:
+    context, substitution, the parameters (filled per call), variables.
+    ``shape`` is the shape key it was cached under (None if uncached).
+    """
+
+    __slots__ = ("run", "det", "seeds", "fresh", "names", "slots",
+                 "template", "shape")
+
+    def __init__(self, run, det, seeds, fresh, names, slots, template):
+        self.shape = None
+        self.run = run
+        self.det = det
+        self.seeds = seeds
+        self.fresh = fresh
+        self.names = names
+        self.slots = slots
+        self.template = template
+
+    def environment(self, context, subst, params):
+        env = self.template[:]
+        env[0] = context
+        env[1] = subst
+        env[2:2 + len(params)] = params
+        for name, slot in self.seeds:
+            env[slot] = subst.lookup(name)
+        return env
+
+
+class PlanCache:
+    """Bounded LRU of compiled plans, safe to share between threads.
+
+    Two kinds of entry share the one bound: ``(shape, domain, options)``
+    keys map to a :class:`Plan`; ``id(expr)`` keys memoize the lifted
+    shape of an expression object that :func:`satisfy` evaluates again
+    (rule bodies, update sub-expressions) and *pin* that expression, so
+    its id cannot be reused by another while the entry lives.
+    ``compiles`` and ``evictions`` count misses and LRU evictions (also
+    reported as ``evaluator.plan_cache.*`` metrics).
+    """
+
+    __slots__ = ("compiles", "evictions", "_entries", "_lock")
+
+    def __init__(self):
+        self.compiles = 0
+        self.evictions = 0
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self._entries)
+
+    def pins(self, expr):
+        """Is ``expr`` memoized (and therefore pinned) by this cache?"""
+        entry = self._entries.get(id(expr))
+        return entry is not None and entry[0] is expr
+
+    def prepare(self, expr, subst, context, memo):
+        """``(plan, env)`` evaluating ``expr`` under ``subst``.
+
+        ``memo`` keeps the lifted shape by expression identity — worth
+        it only for expression objects evaluated more than once.
         """
-        if not self.reorder:
-            return expr.conjuncts
-        cache = self._order_cache
-        key = (id(expr), frozenset(domain))
-        cached = cache.pop(key, None)
-        if cached is not None and cached[0] is expr:
-            cache[key] = cached
-            return cached[1]
-        ordering = tuple(order_conjuncts(list(expr.conjuncts), domain))
-        cache[key] = (expr, ordering)
-        if self.metrics is not None:
-            self.metrics.counter("evaluator.reorder.applied").inc()
-        if len(cache) > ORDER_CACHE_LIMIT:
-            cache.pop(next(iter(cache)))
-            if self.metrics is not None:
-                self.metrics.counter("evaluator.order_cache.evictions").inc()
-        return ordering
+        entries = self._entries
+        with self._lock:
+            memoized = entries.get(id(expr)) if memo else None
+            if memoized is not None and memoized[0] is expr:
+                entries.move_to_end(id(expr))
+                _, shape, params, variables = memoized
+            else:
+                memoized = None
+                shape, params, variables = _lifted(expr)
+            domain = _domain(variables, subst)
+            instrumented = context.counters is not None
+            key = (shape, domain, context.reorder, context.use_indexes,
+                   instrumented)
+            plan = entries.get(key)
+            if plan is None:
+                plan = compile_plan(expr, variables, len(params), domain,
+                                    context.reorder, context.use_indexes,
+                                    instrumented)
+                plan.shape = shape
+                self.compiles += 1
+                if context.metrics is not None:
+                    context.metrics.counter("evaluator.plan_cache.compiles").inc()
+                self._put(key, plan, context)
+            else:
+                entries.move_to_end(key)
+            if memo and memoized is None:
+                # The plan's own shape tuple: equal shapes share one copy.
+                self._put(id(expr), (expr, plan.shape, params, variables),
+                          context)
+        return plan, plan.environment(context, subst, params)
 
-    def probe_plans(self, expr):
-        """Cached pushdown analysis of a SetExpr (see
-        :func:`_analyze_probe_plans`); LRU-bounded like the order cache."""
-        cache = self._probe_cache
-        key = id(expr)
-        cached = cache.pop(key, None)
-        if cached is not None and cached[0] is expr:
-            cache[key] = cached
-            return cached[1]
-        plans = _analyze_probe_plans(expr.inner)
-        cache[key] = (expr, plans)
-        if len(cache) > PROBE_CACHE_LIMIT:
-            cache.pop(next(iter(cache)))
-            if self.metrics is not None:
-                self.metrics.counter("evaluator.probe_cache.evictions").inc()
-        return plans
+    def _put(self, key, value, context):
+        entries = self._entries
+        entries[key] = value
+        if len(entries) > PLAN_CACHE_LIMIT:
+            entries.popitem(last=False)
+            self.evictions += 1
+            if context.metrics is not None:
+                context.metrics.counter("evaluator.plan_cache.evictions").inc()
 
 
 _DEFAULT_CONTEXT = EvalContext()
+
+
+def _prepare(expr, subst, context, memo):
+    if context.trace is not None:
+        # The trace hook receives the caller's own AST nodes, so a traced
+        # evaluation compiles its plan afresh instead of sharing a shape.
+        _, params, variables = _lifted(expr)
+        plan = compile_plan(expr, variables, len(params),
+                            _domain(variables, subst), context.reorder,
+                            context.use_indexes,
+                            context.counters is not None, traced=True)
+        return plan, plan.environment(context, subst, params)
+    return context.plans.prepare(expr, subst, context, memo)
+
+
+def _domain(variables, subst):
+    """The variables of an expression that ``subst`` binds."""
+    if subst is EMPTY:
+        return frozenset()
+    return frozenset(name for name in variables if subst.lookup(name) is not None)
 
 
 def satisfy(expr, obj, subst=None, context=None):
     """Yield every extension of ``subst`` under which ``obj`` satisfies
     ``expr``. Substitutions are persistent; callers may consume lazily."""
     if subst is None:
-        subst = Substitution.empty()
+        subst = EMPTY
     if context is None:
         context = _DEFAULT_CONTEXT
-    if expr.has_update():
-        raise EvaluationError(
-            "update expression evaluated in a query context; use the "
-            "update evaluator (repro.core.updates)"
-        )
-    return _satisfy(expr, obj, subst, context)
+    plan, env = _prepare(expr, subst, context, memo=True)
+    return _solutions(plan, env, obj, subst)
 
 
-def _satisfy(expr, obj, subst, context):
-    if context.trace is not None:
-        context.trace(expr, obj, subst)
-    if context.counters is not None:
-        context.count("visits")
-        context.count(type(expr).__name__)
-
-    if isinstance(expr, ast.Epsilon):
-        yield subst
+def _solutions(plan, env, obj, subst):
+    fresh = plan.fresh
+    if plan.det:
+        if plan.run(env, obj):
+            for name, slot in fresh:
+                subst = Substitution(name, env[slot], subst)
+            yield subst
         return
-
-    if isinstance(expr, ast.AtomicExpr):
-        result = _satisfy_atomic(expr, obj, subst)
-        if result is not None:
-            yield result
-        return
-
-    if isinstance(expr, ast.AttrStep):
-        if not obj.is_tuple:
-            return
-        name = term_name(expr.attr, subst)
-        if name is NOT_A_NAME:
-            return  # bound to a non-name: the step matches nothing
-        if name is not None:
-            if obj.has(name):
-                for extended in _satisfy(expr.expr, obj.get(name), subst, context):
-                    yield extended
-            return
-        # Higher-order quantification: the variable ranges over the
-        # attribute names of this tuple.
-        var = expr.attr.name
-        for attr_name in obj.attr_names():
-            bound = subst.bind(var, Atom(attr_name))
-            for extended in _satisfy(expr.expr, obj.get(attr_name), bound, context):
-                yield extended
-        return
-
-    if isinstance(expr, ast.SetExpr):
-        if not obj.is_set:
-            return
-        if context.use_indexes:
-            candidates = _index_candidates(expr, obj, subst, context)
-            if candidates is not None:
-                for element in candidates:
-                    for extended in _satisfy(expr.inner, element, subst, context):
-                        yield extended
-                return
-        # Full scan over a snapshot: elements() copies, so an update
-        # request mutating this set while an outer query generator is
-        # suspended keeps seeing the state at scan start.
-        for element in obj.elements():
-            for extended in _satisfy(expr.inner, element, subst, context):
-                yield extended
-        return
-
-    if isinstance(expr, ast.TupleExpr):
-        conjuncts = context.ordered(expr, subst.domain())
-        for extended in _satisfy_conjunction(conjuncts, 0, obj, subst, context):
-            yield extended
-        return
-
-    if isinstance(expr, ast.Constraint):
-        result = _satisfy_constraint(expr, subst)
-        if result is not None:
-            yield result
-        return
-
-    if isinstance(expr, ast.NegExpr):
-        for _ in _satisfy(expr.inner, obj, subst, context):
-            return  # a witness exists: the negation fails
-        yield subst
-        return
-
-    raise EvaluationError(f"cannot evaluate {type(expr).__name__}")
-
-
-def _satisfy_conjunction(conjuncts, index, obj, subst, context):
-    if index == len(conjuncts):
-        yield subst
-        return
-    for extended in _satisfy(conjuncts[index], obj, subst, context):
-        for final in _satisfy_conjunction(conjuncts, index + 1, obj, extended, context):
-            yield final
-
-
-def _satisfy_atomic(expr, obj, subst):
-    """Return the (possibly extended) substitution, or None."""
-    term = expr.term
-    if expr.op == "=" and isinstance(term, Var):
-        existing = subst.lookup(term.name)
-        if existing is not None:
-            # Null fails even self-equality for atoms (Section 5.2).
-            if obj.is_atom and obj.is_null:
-                return None
-            return subst if same_value(existing, obj) else None
-        if obj.is_atom and obj.is_null:
-            return None
-        # The aggregate-variable extension: X may bind a tuple or set.
-        return subst.bind(term.name, obj)
-
-    value_obj = evaluate_term(term, subst)
-    if not obj.is_atom:
-        if expr.op == "=":
-            return subst if same_value(obj, value_obj) else None
-        if expr.op == "!=":
-            if value_obj.is_atom and value_obj.is_null:
-                return None
-            return None if same_value(obj, value_obj) else subst
-        return None
-    if not value_obj.is_atom:
-        if expr.op == "=":
-            return None
-        if expr.op == "!=":
-            return subst if not obj.is_null else None
-        return None
-    if compare_values(obj.value, expr.op, value_obj.value):
-        return subst
-    return None
-
-
-def _satisfy_constraint(expr, subst):
-    """Evaluate a standalone term comparison against the substitution."""
-    left_unbound = any(not subst.binds(name) for name in expr.left.variables())
-    right_unbound = any(not subst.binds(name) for name in expr.right.variables())
-    if expr.op == "=" and left_unbound != right_unbound:
-        # One side is ground: with '=', bind the other side's variable.
-        ground_term, open_term = (
-            (expr.right, expr.left) if left_unbound else (expr.left, expr.right)
-        )
-        if isinstance(open_term, Var):
-            value = evaluate_term(ground_term, subst)
-            return subst.unify(open_term.name, value)
-        return None  # cannot solve arithmetic for its variable
-    left = evaluate_term(expr.left, subst)
-    right = evaluate_term(expr.right, subst)
-    if not left.is_atom or not right.is_atom:
-        if expr.op == "=":
-            return subst if same_value(left, right) else None
-        if expr.op == "!=":
-            return None if same_value(left, right) else subst
-        return None
-    if compare_values(left.value, expr.op, right.value):
-        return subst
-    return None
+    for _ in plan.run(env, obj):
+        extended = subst
+        for name, slot in fresh:
+            extended = Substitution(name, env[slot], extended)
+        yield extended
 
 
 # ---------------------------------------------------------------------------
-# Selection pushdown (per-set hash indexes)
+# Shapes: lifting constants into a parameter vector
+# ---------------------------------------------------------------------------
+
+_EPSILON, _ATOMIC, _STEP, _SET, _TUPLE, _CONSTRAINT, _NEG = range(7)
+
+
+def _update_error():
+    return EvaluationError(
+        "update expression evaluated in a query context; use the "
+        "update evaluator (repro.core.updates)"
+    )
+
+
+def _lifted(expr):
+    """``(shape, params, variables)`` of an expression."""
+    params = []
+    shape = _lift(expr, params)
+    return shape, params, tuple(sorted(expr.variables()))
+
+
+def _lift(expr, params):
+    """The shape key of ``expr``; appends its lifted constants to
+    ``params`` in pre-order (the compiler assigns parameter slots in the
+    same order). Raises for signed (update) subexpressions."""
+    kind = type(expr)
+    if kind is ast.AttrStep:
+        if expr.sign is not None:
+            raise _update_error()
+        attr = expr.attr
+        if type(attr) is Var:
+            attr_key = attr.name
+        elif isinstance(attr.value, str):
+            params.append(attr.value)
+            attr_key = None
+        else:
+            attr_key = _const_key(attr)  # raises when reached
+        return (_STEP, attr_key, _lift(expr.expr, params))
+    if kind is ast.TupleExpr:
+        return (_TUPLE,) + tuple(_lift(c, params) for c in expr.conjuncts)
+    if kind is ast.SetExpr:
+        if expr.sign is not None:
+            raise _update_error()
+        return (_SET, _lift(expr.inner, params))
+    if kind is ast.AtomicExpr:
+        if expr.sign is not None:
+            raise _update_error()
+        return (_ATOMIC, expr.op, _lift_term(expr.term, params))
+    if kind is ast.Constraint:
+        return (_CONSTRAINT, expr.op, _lift_term(expr.left, params),
+                _lift_term(expr.right, params))
+    if kind is ast.NegExpr:
+        return (_NEG, _lift(expr.inner, params))
+    if kind is ast.Epsilon:
+        return (_EPSILON,)
+    raise EvaluationError(f"cannot evaluate {kind.__name__}")
+
+
+def _lift_term(term, params):
+    """Lift a top-level constant; arithmetic stays in the shape whole, so
+    its error messages name the caller's own constants."""
+    if type(term) is Const:
+        params.append(Atom(term.value))
+        return None
+    return _term_key(term)
+
+
+def _term_key(term):
+    if type(term) is Var:
+        return term.name
+    if type(term) is Const:
+        return _const_key(term)
+    return (term.op, _term_key(term.left), _term_key(term.right))
+
+
+def _const_key(const):
+    # The type name keeps 1, 1.0 and True apart.
+    return ("const", type(const.value).__name__, const.value)
+
+
+def _param_count(node, term=False):
+    params = []
+    if term:
+        _lift_term(node, params)
+    else:
+        _lift(node, params)
+    return len(params)
+
+
+# ---------------------------------------------------------------------------
+# The compiler
+# ---------------------------------------------------------------------------
+
+
+def compile_plan(expr, variables, n_params, domain, reorder=True,
+                 use_indexes=True, instrumented=False, traced=False):
+    """Compile ``expr`` for the variables in ``domain`` being bound on
+    entry (see :class:`Plan`). An ``instrumented`` plan counts node
+    visits into the context's counters; a ``traced`` one also calls its
+    trace hook with ``expr``'s own nodes."""
+    base = 2 + n_params
+    slots = {name: base + index for index, name in enumerate(variables)}
+    compiler = _Compiler(slots, domain, reorder, use_indexes, instrumented,
+                         traced)
+    run, det, bound = compiler.node(expr, 2, domain)
+    names = tuple(sorted(bound))
+    return Plan(
+        run, det,
+        seeds=tuple((name, slots[name]) for name in sorted(domain)),
+        fresh=tuple((name, slots[name]) for name in names if name not in domain),
+        names=names,
+        slots=tuple(slots[name] for name in names),
+        template=[None] * (base + len(variables)),
+    )
+
+
+def _true(env, obj):
+    return True
+
+
+def _false(env, obj):
+    return False
+
+
+def _raiser(error_type, message):
+    def run(env, obj):
+        raise error_type(message)
+    return run
+
+
+class _Compiler:
+    """One compilation: slot layout, options and the entry domain.
+
+    ``node(expr, offset, bound)`` compiles ``expr`` whose first lifted
+    parameter sits at env slot ``offset``, for the variables ``bound``
+    on entry, and returns ``(run, det, bound_after)``. ``bound_after``
+    is exact: every variable in it is bound whenever the node succeeds
+    (see :func:`repro.core.safety.produced_vars`).
+    """
+
+    def __init__(self, slots, domain, reorder, use_indexes, instrumented,
+                 traced):
+        self.slots = slots
+        self.domain = domain
+        self.reorder = reorder
+        self.use_indexes = use_indexes
+        self.instrumented = instrumented
+        self.traced = traced
+
+    def node(self, expr, offset, bound):
+        kind = type(expr)
+        if kind is ast.TupleExpr:
+            run, det, after = self.conjunction(expr, offset, bound)
+        elif kind is ast.AttrStep:
+            run, det, after = self.step(expr, offset, bound)
+        elif kind is ast.SetExpr:
+            run, det, after = self.set_expr(expr, offset, bound)
+        elif kind is ast.AtomicExpr:
+            run, det, after = self.atomic(expr, offset, bound)
+        elif kind is ast.Constraint:
+            run, det, after = self.constraint(expr, offset, bound)
+        elif kind is ast.NegExpr:
+            run, det, after = self.negation(expr, offset, bound)
+        else:
+            run, det, after = _true, True, bound
+        if self.traced:
+            run = self.trace(run, expr, bound)
+        if self.instrumented:
+            run = self.count(run, type(expr).__name__)
+        return run, det, after
+
+    @staticmethod
+    def count(run, kind):
+        def visit(env, obj):
+            counters = env[0].counters
+            counters["visits"] = counters.get("visits", 0) + 1
+            counters[kind] = counters.get(kind, 0) + 1
+            return run(env, obj)
+        return visit
+
+    def trace(self, run, expr, bound):
+        entry = tuple(
+            (name, self.slots[name]) for name in sorted(bound - self.domain)
+        )
+
+        def visit(env, obj):
+            subst = env[1]
+            for name, slot in entry:
+                subst = Substitution(name, env[slot], subst)
+            env[0].trace(expr, obj, subst)
+            return run(env, obj)
+        return visit
+
+    # -- terms ----------------------------------------------------------------
+
+    def term(self, term, offset, bound):
+        """``env -> IdlObject`` for a term whose lifted constant (if it
+        is one) sits at ``offset``."""
+        kind = type(term)
+        if kind is Const:
+            return itemgetter(offset)
+        if kind is Var:
+            if term.name in bound:
+                return itemgetter(self.slots[term.name])
+            message = f"variable {term.name} is unbound where a value is needed"
+
+            def unbound(env):
+                raise SafetyError(message)
+            return unbound
+        left = self.inner_term(term.left, bound)
+        right = self.inner_term(term.right, bound)
+
+        def arith(env):
+            a = _numeric(left(env), term)
+            return arithmetic(term, a, _numeric(right(env), term))
+        return arith
+
+    def inner_term(self, term, bound):
+        """An arithmetic operand: constants stay in the shape."""
+        if type(term) is Const:
+            value = Atom(term.value)
+            return lambda env: value
+        return self.term(term, None, bound)
+
+    # -- expressions ----------------------------------------------------------
+
+    def atomic(self, expr, offset, bound):
+        op, term = expr.op, expr.term
+        if op == "=" and type(term) is Var:
+            slot = self.slots[term.name]
+            if term.name in bound:
+                def check(env, obj):
+                    # Null fails even self-equality for atoms (Section 5.2).
+                    if obj.category == ATOM and obj.value is None:
+                        return False
+                    return same_value(env[slot], obj)
+                return check, True, bound
+
+            def bind(env, obj):
+                if obj.category == ATOM and obj.value is None:
+                    return False
+                # The aggregate-variable extension: X may bind a tuple or set.
+                env[slot] = obj
+                return True
+            return bind, True, bound | {term.name}
+
+        if type(term) is Const and op != "!=":
+            # An atomic constant: a non-atomic object never equals or
+            # orders against it.
+            def compare_const(env, obj):
+                return obj.category == ATOM and compare_values(
+                    obj.value, op, env[offset].value
+                )
+            return compare_const, True, bound
+
+        value = self.term(term, offset, bound)
+
+        def compare(env, obj):
+            return _matches(obj, op, value(env))
+        return compare, True, bound
+
+    def step(self, expr, offset, bound):
+        attr = expr.attr
+        if type(attr) is Const and not isinstance(attr.value, str):
+            message = f"attribute names are strings, got constant {attr.value!r}"
+
+            def bad_name(env, obj):
+                if obj.category == TUPLE:
+                    raise EvaluationError(message)
+                return False
+            return bad_name, True, bound | produced_vars(expr)
+
+        if type(attr) is Var and attr.name not in bound:
+            return self.quantifier(expr, offset, bound)
+
+        if type(attr) is Const:
+            child, det, after = self.node(expr.expr, offset + 1, bound)
+            if det:
+                def descend(env, obj):
+                    if obj.category != TUPLE:
+                        return False
+                    value = obj.get_or_none(env[offset])
+                    return value is not None and child(env, value)
+                return descend, True, after
+
+            def descend_all(env, obj):
+                if obj.category != TUPLE:
+                    return ()
+                value = obj.get_or_none(env[offset])
+                return () if value is None else child(env, value)
+            return descend_all, False, after
+
+        child, det, after = self.node(expr.expr, offset, bound)
+        slot = self.slots[attr.name]
+
+        def attribute(env, obj):
+            name = env[slot]
+            # A binding that cannot name an attribute matches nothing.
+            if name.category != ATOM or not isinstance(name.value, str):
+                return None
+            return obj.get_or_none(name.value)
+
+        if det:
+            def descend(env, obj):
+                if obj.category != TUPLE:
+                    return False
+                value = attribute(env, obj)
+                return value is not None and child(env, value)
+            return descend, True, after
+
+        def descend_all(env, obj):
+            if obj.category != TUPLE:
+                return ()
+            value = attribute(env, obj)
+            return () if value is None else child(env, value)
+        return descend_all, False, after
+
+    def quantifier(self, expr, offset, bound):
+        """``.A exp`` with ``A`` unbound: ``A`` ranges over the tuple's
+        attribute names (Section 4.3)."""
+        name = expr.attr.name
+        slot = self.slots[name]
+        child, det, after = self.node(expr.expr, offset, bound | {name})
+        if det and name not in expr.expr.variables():
+            # The child never reads the name: bind it only on success.
+            def each_name(env, obj):
+                if obj.category != TUPLE:
+                    return
+                get = obj.get
+                for attr_name in obj.attr_names():
+                    if child(env, get(attr_name)):
+                        env[slot] = Atom(attr_name)
+                        yield None
+        elif det:
+            def each_name(env, obj):
+                if obj.category != TUPLE:
+                    return
+                get = obj.get
+                for attr_name in obj.attr_names():
+                    env[slot] = Atom(attr_name)
+                    if child(env, get(attr_name)):
+                        yield None
+        else:
+            def each_name(env, obj):
+                if obj.category != TUPLE:
+                    return
+                get = obj.get
+                for attr_name in obj.attr_names():
+                    env[slot] = Atom(attr_name)
+                    yield from child(env, get(attr_name))
+        return each_name, False, after
+
+    def set_expr(self, expr, offset, bound):
+        inner, det, after = self.node(expr.inner, offset, bound)
+        candidates = (self.probe(expr.inner, offset, bound)
+                      if self.use_indexes else _all_elements)
+        if after == bound:
+            # Existential cut: the inner part binds nothing new, so one
+            # satisfying element decides the set expression.
+            if det:
+                def exists(env, obj):
+                    if obj.category != SET:
+                        return False
+                    for element in candidates(env, obj):
+                        if inner(env, element):
+                            return True
+                    return False
+            else:
+                def exists(env, obj):
+                    if obj.category != SET:
+                        return False
+                    for element in candidates(env, obj):
+                        for _ in inner(env, element):
+                            return True
+                    return False
+            return exists, True, after
+        if det:
+            def each(env, obj):
+                if obj.category != SET:
+                    return
+                for element in candidates(env, obj):
+                    if inner(env, element):
+                        yield None
+        else:
+            def each(env, obj):
+                if obj.category != SET:
+                    return
+                for element in candidates(env, obj):
+                    yield from inner(env, element)
+        return each, False, after
+
+    def probe(self, inner, offset, bound):
+        """``candidates(env, set_obj)``: an index probe's bucket plus
+        residual when a selection is usable, else every element (a
+        snapshot, so an update mutating the set while a caller is
+        suspended keeps the state at scan start).
+
+        A conjunct of the inner expression drives a probe when it has
+        the shape ``.attr = term`` (both unsigned): the attribute a
+        string constant or a bound variable naming one, the term a
+        constant or a bound variable holding an atom. The first usable
+        conjunct probes; the index is a pure pre-filter, since the inner
+        expression still runs on every candidate.
+        """
+        conjuncts = inner.conjuncts if type(inner) is ast.TupleExpr else (inner,)
+        plans = []
+        position = offset
+        for conjunct in conjuncts:
+            start, position = position, position + _param_count(conjunct)
+            if type(conjunct) is not ast.AttrStep or conjunct.sign is not None:
+                continue
+            attr, comparison = conjunct.attr, conjunct.expr
+            if type(comparison) is not ast.AtomicExpr or comparison.op != "=":
+                continue
+            if type(attr) is Var:
+                if attr.name not in bound:
+                    continue  # still unbound: not usable as a probe
+                attr_slot, attr_is_param = self.slots[attr.name], False
+                value_offset = start
+            elif isinstance(attr.value, str):
+                attr_slot, attr_is_param = start, True
+                value_offset = start + 1
+            else:
+                continue  # the scan path raises the proper error
+            term = comparison.term
+            if type(term) is Const:
+                value_slot, value_is_param = value_offset, True
+            elif type(term) is Var and term.name in bound:
+                value_slot, value_is_param = self.slots[term.name], False
+            else:
+                continue
+            plans.append((attr_slot, attr_is_param, value_slot, value_is_param))
+            if attr_is_param and value_is_param:
+                break  # always usable: later plans are never tried
+        plans = tuple(plans)
+
+        def candidates(env, obj):
+            context = env[0]
+            if plans and isinstance(obj, SetObject):
+                for attr_slot, attr_is_param, value_slot, value_is_param in plans:
+                    name = env[attr_slot]
+                    if not attr_is_param:
+                        if name.category != ATOM or not isinstance(name.value, str):
+                            continue  # a non-name binding
+                        name = name.value
+                    value = env[value_slot]
+                    if not value_is_param and value.category != ATOM:
+                        continue  # non-atomic comparison: no pushdown
+                    index = obj.peek_index(name)
+                    if index is None:
+                        index = obj.index_on(name)
+                        _count_index(context, _IDX_MISSES)
+                        _count_index(context, _IDX_BUILDS)
+                    else:
+                        _count_index(context, _IDX_HITS)
+                    return index.candidates(value.value_key())
+            _count_index(context, _IDX_FALLBACKS)
+            return obj.elements()
+        return candidates
+
+    def conjunction(self, expr, offset, bound):
+        conjuncts = expr.conjuncts
+        starts = []
+        position = offset
+        for conjunct in conjuncts:
+            starts.append(position)
+            position += _param_count(conjunct)
+        if self.reorder:
+            try:
+                ordered = order_conjuncts(list(conjuncts), bound)
+            except SafetyError as exc:
+                return (_raiser(SafetyError, str(exc)), True,
+                        bound | produced_vars(expr))
+        else:
+            ordered = conjuncts
+        # Map the scheduled conjuncts back to their document positions
+        # (and so to their parameter offsets).
+        unused = list(range(len(conjuncts)))
+        parts = []
+        for conjunct in ordered:
+            index = next(i for i in unused if conjuncts[i] is conjunct)
+            unused.remove(index)
+            run, det, bound = self.node(conjunct, starts[index], bound)
+            parts.append((run, det))
+        return _chain(parts) + (bound,)
+
+    def constraint(self, expr, offset, bound):
+        left_term, op, right_term = expr.left, expr.op, expr.right
+        right_offset = offset + _param_count(left_term, term=True)
+        after = bound | expr.variables()
+        left_unbound = not left_term.variables() <= bound
+        right_unbound = not right_term.variables() <= bound
+        if op == "=" and left_unbound != right_unbound:
+            # One side is ground: bind the other side's variable.
+            if left_unbound:
+                ground, ground_offset, open_term = right_term, right_offset, left_term
+            else:
+                ground, ground_offset, open_term = left_term, offset, right_term
+            if type(open_term) is not Var:
+                return _false, True, after  # cannot solve arithmetic
+            value = self.term(ground, ground_offset, bound)
+            slot = self.slots[open_term.name]
+
+            def solve(env, obj):
+                env[slot] = value(env)
+                return True
+            return solve, True, after
+        left = self.term(left_term, offset, bound)
+        right = self.term(right_term, right_offset, bound)
+
+        def compare(env, obj):
+            a = left(env)
+            b = right(env)
+            if a.category != ATOM or b.category != ATOM:
+                if op == "=":
+                    return same_value(a, b)
+                if op == "!=":
+                    return not same_value(a, b)
+                return False
+            return compare_values(a.value, op, b.value)
+        return compare, True, after
+
+    def negation(self, expr, offset, bound):
+        inner, det, _ = self.node(expr.inner, offset, bound)
+        if det:
+            def refute(env, obj):
+                return not inner(env, obj)
+        else:
+            def refute(env, obj):
+                for _ in inner(env, obj):
+                    return False  # a witness exists: the negation fails
+                return True
+        return refute, True, bound
+
+
+def _all_elements(env, obj):
+    return obj.elements()
+
+
+def _chain(parts):
+    """Fold scheduled ``(run, det)`` conjuncts into one ``(run, det)``:
+    consecutive tests merge into one test, generators nest."""
+    if not parts:
+        return _true, True
+    groups = []
+    for run, det in parts:
+        if det and groups and groups[-1][1]:
+            groups[-1][0].append(run)
+        else:
+            groups.append(([run], det))
+    *earlier, (last, det) = groups
+    run = _all_of(last) if det else last[0]
+    for tests, group_det in reversed(earlier):
+        if group_det:
+            run = _then(_all_of(tests), run)
+        else:
+            run = _each_then(tests[0], run, det)
+        det = False
+    return run, det
+
+
+def _all_of(tests):
+    if len(tests) == 1:
+        return tests[0]
+    if len(tests) == 2:
+        first, second = tests
+
+        def both(env, obj):
+            return first(env, obj) and second(env, obj)
+        return both
+    tests = tuple(tests)
+
+    def every(env, obj):
+        for test in tests:
+            if not test(env, obj):
+                return False
+        return True
+    return every
+
+
+def _then(test, rest):
+    def run(env, obj):
+        return rest(env, obj) if test(env, obj) else ()
+    return run
+
+
+def _each_then(first, rest, rest_det):
+    if rest_det:
+        def run(env, obj):
+            for _ in first(env, obj):
+                if rest(env, obj):
+                    yield None
+    else:
+        def run(env, obj):
+            for _ in first(env, obj):
+                yield from rest(env, obj)
+    return run
+
+
+def _matches(obj, op, value_obj):
+    """Atomic-expression comparison of ``obj`` against a term's value."""
+    if obj.category != ATOM:
+        if op == "=":
+            return same_value(obj, value_obj)
+        if op == "!=":
+            if value_obj.category == ATOM and value_obj.value is None:
+                return False
+            return not same_value(obj, value_obj)
+        return False
+    if value_obj.category != ATOM:
+        if op == "=":
+            return False
+        if op == "!=":
+            return obj.value is not None
+        return False
+    return compare_values(obj.value, op, value_obj.value)
+
+
+# ---------------------------------------------------------------------------
+# Index counters
 # ---------------------------------------------------------------------------
 
 # (profile counter key, metrics counter name) pairs, precomputed so the
@@ -313,103 +919,41 @@ def _count_index(context, pair):
         context.metrics.counter(pair[1]).inc()
 
 
-def _analyze_probe_plans(inner):
-    """The static half of pushdown: which conjuncts of a set expression's
-    inner expression could drive an index probe?
-
-    A conjunct qualifies when it is an unsigned attribute step whose
-    subexpression is an unsigned atomic ``=`` comparison — the shape
-    ``.attr = term``. The attribute may be a string constant or a
-    variable (usable at probe time only once bound to a name — the
-    "already-bound higher-order attribute" case); the compared term may
-    be a constant (its bucket key is precomputed here) or a variable
-    (ground-checked at probe time). Everything else — negation,
-    inequalities, arithmetic terms, nested patterns, higher-order
-    variables still unbound at probe time — falls back to the scan.
-
-    Returns a tuple of ``(attr_term, attr_name, value_term, const_key)``
-    plans; ``attr_name``/``const_key`` are the precomputed constant
-    halves (None when runtime resolution is needed).
-    """
-    if isinstance(inner, ast.TupleExpr):
-        conjuncts = inner.conjuncts
-    else:
-        conjuncts = (inner,)
-    plans = []
-    for conjunct in conjuncts:
-        if not isinstance(conjunct, ast.AttrStep) or conjunct.sign is not None:
-            continue
-        attr = conjunct.attr
-        if isinstance(attr, Const):
-            if not isinstance(attr.value, str):
-                continue  # the scan path raises the proper error
-            attr_name = attr.value
-        else:
-            attr_name = None  # variable: resolve against the substitution
-        comparison = conjunct.expr
-        if (
-            not isinstance(comparison, ast.AtomicExpr)
-            or comparison.op != "="
-            or comparison.sign is not None
-        ):
-            continue
-        term = comparison.term
-        if isinstance(term, Const):
-            const_key = Atom(term.value).value_key()
-            plans.append((attr, attr_name, None, const_key))
-        elif isinstance(term, Var):
-            plans.append((attr, attr_name, term, None))
-    return tuple(plans)
-
-
-def _index_candidates(expr, obj, subst, context):
-    """Resolve a set-expression probe, or None to fall back to the scan.
-
-    Tries each cached plan in order; the first one whose attribute name
-    and compared value are ground under ``subst`` (and atomic) probes the
-    set's hash index and returns the matching bucket plus the residual
-    of unclassifiable elements. The index is a pure pre-filter — the
-    caller still evaluates the inner expression against every candidate
-    — so a probe can only drop elements that provably fail the ``=``
-    selection.
-    """
-    if not isinstance(obj, SetObject):
-        _count_index(context, _IDX_FALLBACKS)
-        return None
-    plans = context.probe_plans(expr)
-    if not plans:
-        _count_index(context, _IDX_FALLBACKS)
-        return None
-    for attr_term, attr_name, value_term, const_key in plans:
-        if attr_name is None:
-            bound = subst.lookup(attr_term.name)
-            if bound is None or not bound.is_atom or not isinstance(bound.value, str):
-                continue  # unbound or non-name: not usable as a probe
-            name = bound.value
-        else:
-            name = attr_name
-        if const_key is None:
-            value = subst.lookup(value_term.name)
-            if value is None or not value.is_atom:
-                continue  # unbound or non-atomic comparison: no pushdown
-            key = value.value_key()
-        else:
-            key = const_key
-        index = obj.peek_index(name)
-        if index is None:
-            index = obj.index_on(name)
-            _count_index(context, _IDX_MISSES)
-            _count_index(context, _IDX_BUILDS)
-        else:
-            _count_index(context, _IDX_HITS)
-        return index.candidates(key)
-    _count_index(context, _IDX_FALLBACKS)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Query answering
 # ---------------------------------------------------------------------------
+
+
+class AnswerRows(list):
+    """Deduplicated answer rows: one tuple of objects per answer, in the
+    order of ``names``, the sorted answer variables."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names, rows=()):
+        super().__init__(rows)
+        self.names = names
+
+
+def answer_rows(query, universe, bindings=None, context=None):
+    """All answers to a query as :class:`AnswerRows` — no substitution
+    is built per answer. ``bindings`` pre-binds parameters (a ``{name:
+    IdlObject-or-scalar}`` dict or a Substitution)."""
+    plan, env = _prepare_query(query, bindings, context)
+    slots = plan.slots
+    rows = AnswerRows(plan.names)
+    if plan.det:
+        if plan.run(env, universe):
+            rows.append(tuple([env[i] for i in slots]))
+        return rows
+    seen = set()
+    for _ in plan.run(env, universe):
+        row = tuple([env[i] for i in slots])
+        key = tuple([obj.value_key() for obj in row])
+        if key not in seen:
+            seen.add(key)
+            rows.append(row)
+    return rows
 
 
 def answers(query, universe, bindings=None, context=None):
@@ -419,32 +963,32 @@ def answers(query, universe, bindings=None, context=None):
     query's variables. ``bindings`` pre-binds parameters (a
     ``{name: IdlObject}`` dict or a Substitution).
     """
-    expr = query.expr if isinstance(query, ast.Query) else query
-    subst = _as_substitution(bindings)
-    names = expr.variables()
-    seen = set()
-    results = []
-    for solution in satisfy(expr, universe, subst, context):
-        restricted = solution.restrict(names)
-        key = restricted.signature()
-        if key not in seen:
-            seen.add(key)
-            results.append(restricted)
-    return results
+    rows = answer_rows(query, universe, bindings, context)
+    return [Substitution.of(dict(zip(rows.names, row))) for row in rows]
 
 
 def holds(query, universe, bindings=None, context=None):
     """Boolean satisfaction: does at least one answer exist?"""
-    expr = query.expr if isinstance(query, ast.Query) else query
-    subst = _as_substitution(bindings)
-    for _ in satisfy(expr, universe, subst, context):
+    plan, env = _prepare_query(query, bindings, context)
+    if plan.det:
+        return bool(plan.run(env, universe))
+    for _ in plan.run(env, universe):
         return True
     return False
 
 
+def _prepare_query(query, bindings, context):
+    # A query's AST is usually parsed for this one call: lift its shape
+    # afresh rather than memoizing (and pinning) it by identity.
+    expr = query.expr if isinstance(query, ast.Query) else query
+    if context is None:
+        context = _DEFAULT_CONTEXT
+    return _prepare(expr, _as_substitution(bindings), context, memo=False)
+
+
 def _as_substitution(bindings):
     if bindings is None:
-        return Substitution.empty()
+        return EMPTY
     if isinstance(bindings, Substitution):
         return bindings
     converted = {}

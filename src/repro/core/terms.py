@@ -127,16 +127,21 @@ def evaluate_term(term, subst):
     if isinstance(term, Arith):
         left = _numeric(evaluate_term(term.left, subst), term)
         right = _numeric(evaluate_term(term.right, subst), term)
-        if term.op == "+":
-            return Atom(left + right)
-        if term.op == "-":
-            return Atom(left - right)
-        if term.op == "*":
-            return Atom(left * right)
-        if right == 0:
-            raise EvaluationError(f"division by zero in {term!r}")
-        return Atom(left / right)
+        return arithmetic(term, left, right)
     raise TypeError(f"not a term: {term!r}")
+
+
+def arithmetic(term, left, right):
+    """Apply an :class:`Arith` term's operator to its numeric operands."""
+    if term.op == "+":
+        return Atom(left + right)
+    if term.op == "-":
+        return Atom(left - right)
+    if term.op == "*":
+        return Atom(left * right)
+    if right == 0:
+        raise EvaluationError(f"division by zero in {term!r}")
+    return Atom(left / right)
 
 
 def _numeric(obj, term):

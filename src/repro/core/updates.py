@@ -47,7 +47,7 @@ elements were mutated.
 from __future__ import annotations
 
 from repro.core import ast
-from repro.core.evaluator import EvalContext, _as_substitution, _satisfy
+from repro.core.evaluator import EvalContext, _as_substitution, satisfy
 from repro.core.safety import order_conjuncts
 from repro.core.terms import NOT_A_NAME, Const, Var, evaluate_term, term_name
 from repro.errors import UpdateError
@@ -288,14 +288,13 @@ def apply_conjunct(conjunct, universe, substitutions, uctx=None):
 
 
 def _update_satisfy(expr, obj, subst, uctx, excluded=frozenset(), path=()):
-    """Like ``evaluator._satisfy`` but applies signed subexpressions.
+    """Like ``evaluator.satisfy`` but applies signed subexpressions.
 
     ``path`` tracks the attribute names navigated from the universe root
     so mutations can report which ``(db, rel)`` prefix they touched.
     """
     if not expr.has_update():
-        for extended in _satisfy(expr, obj, subst, uctx.eval_ctx):
-            yield extended
+        yield from satisfy(expr, obj, subst, uctx.eval_ctx)
         return
 
     if isinstance(expr, ast.AtomicExpr):
@@ -348,7 +347,7 @@ def _update_tuple_expr(expr, obj, subst, uctx, path=()):
             for final in run_updates(0, current):
                 yield final
             return
-        for extended in _satisfy(ordered_queries[index], obj, current, uctx.eval_ctx):
+        for extended in satisfy(ordered_queries[index], obj, current, uctx.eval_ctx):
             for final in run_queries(index + 1, extended):
                 yield final
 
@@ -418,7 +417,7 @@ def _tuple_minus(expr, obj, subst, uctx, excluded, path=()):
     matches = []
     if name is not None:
         if obj.has(name):
-            for extended in _satisfy(expr.expr, obj.get(name), subst, uctx.eval_ctx):
+            for extended in satisfy(expr.expr, obj.get(name), subst, uctx.eval_ctx):
                 matches.append((name, extended))
     else:
         var = expr.attr.name
@@ -426,7 +425,7 @@ def _tuple_minus(expr, obj, subst, uctx, excluded, path=()):
             if attr_name in excluded:
                 continue
             bound = subst.bind(var, Atom(attr_name))
-            for extended in _satisfy(expr.expr, obj.get(attr_name), bound, uctx.eval_ctx):
+            for extended in satisfy(expr.expr, obj.get(attr_name), bound, uctx.eval_ctx):
                 matches.append((attr_name, extended))
 
     removed = set()
@@ -471,7 +470,7 @@ def _update_set_expr(expr, obj, subst, uctx, path=()):
         ground = not _has_unbound_vars(expr, subst)
         matches = []
         for element in obj.elements():
-            for extended in _satisfy(expr.inner, element, subst, uctx.eval_ctx):
+            for extended in satisfy(expr.inner, element, subst, uctx.eval_ctx):
                 matches.append((element, extended))
         removed = set()
         for element, _ in matches:

@@ -21,6 +21,11 @@ _SCALAR_TYPES = (str, int, float, bool)
 OPERATORS = ("<", "<=", "=", "!=", ">", ">=")
 
 
+# value_key tags by exact scalar type (subclasses take the slow path).
+_TAGS = {bool: "bool", int: "num", float: "num", str: "str",
+         type(None): "NoneType"}
+
+
 class Atom(IdlObject):
     """A value-based atomic object; ``Atom(None)`` is the null atom."""
 
@@ -44,6 +49,9 @@ class Atom(IdlObject):
         # compare_values; bool is tagged separately because Python makes
         # True == 1 but IDL treats them as distinct values.
         value = self.value
+        tag = _TAGS.get(type(value))
+        if tag is not None:
+            return (ATOM, tag, value)
         if isinstance(value, bool):
             tag = "bool"
         elif isinstance(value, (int, float)):

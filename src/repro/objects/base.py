@@ -20,6 +20,8 @@ SET = "set"
 
 CATEGORIES = (ATOM, TUPLE, SET)
 
+_encode = None  # repro.objects.encode, bound by IdlObject.to_python
+
 
 class IdlObject:
     """Common read interface of every IDL object.
@@ -56,9 +58,12 @@ class IdlObject:
 
     def to_python(self):
         """Convert to a plain Python structure (see ``encode.to_python``)."""
-        from repro.objects import encode
-
-        return encode.to_python(self)
+        global _encode
+        if _encode is None:
+            # encode imports the concrete classes, which import this
+            # module: bind it on first use, once.
+            from repro.objects import encode as _encode
+        return _encode.to_python(self)
 
     def __eq__(self, other):
         if not isinstance(other, IdlObject):

@@ -11,7 +11,7 @@ This package makes that pipeline inspectable end to end:
   disabled;
 * :mod:`repro.obs.metrics` — counters and histograms
   (``fixpoint.iterations``, ``connector.scan.retries``,
-  ``circuit.state_changes``, ``evaluator.reorder.applied``, ...), each
+  ``circuit.state_changes``, ``evaluator.plan_cache.compiles``, ...), each
   backed by a sliding window (:mod:`repro.obs.window`) for per-window
   rates and latency percentiles, plus per-request delta accumulators.
   The static effect analysis adds ``analysis.prune.skipped`` /

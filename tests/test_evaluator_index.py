@@ -15,7 +15,7 @@ import pytest
 
 from repro import IdlEngine
 from repro.core import evaluator
-from repro.core.evaluator import EvalContext, answers, holds
+from repro.core.evaluator import EvalContext, answers, holds, satisfy
 from repro.core.parser import parse_query
 from repro.objects import Universe, from_python
 from repro.objects.atom import Atom
@@ -346,49 +346,60 @@ class TestInvalidation:
 
 
 class TestBoundedCaches:
+    """The safety orderings and probe choices live in compiled plans, so
+    these check the one bounded plan cache that replaced the order and
+    probe caches."""
+
     def test_order_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(evaluator, "ORDER_CACHE_LIMIT", 4)
+        monkeypatch.setattr(evaluator, "PLAN_CACHE_LIMIT", 4)
         from repro.obs.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
         context = EvalContext(metrics=metrics)
         universe = small_universe()
         for day in range(20):
+            # A distinct variable name per query: a distinct shape.
             query = parse_query(
-                f"?.euter.r(.date=3/{day}/85, .stkCode=S), "
-                f".euter.r(.stkCode=S, .clsPrice=P)"
+                f"?.euter.r(.date=3/{day}/85, .stkCode=S{day}), "
+                f".euter.r(.stkCode=S{day}, .clsPrice=P)"
             )
-            answers(query, universe, None, context)
-        assert len(context._order_cache) <= 4
-        assert metrics.counter_value("evaluator.order_cache.evictions") > 0
+            results = answers(query, universe, None, context)
+            assert len(results) == (4 if day in (3, 4) else 0)
+        assert len(context.plans) <= 4
+        assert context.plans.compiles == 20
+        assert context.plans.evictions == 16
+        assert metrics.counter_value("evaluator.plan_cache.evictions") == 16
+        assert metrics.counter_value("evaluator.plan_cache.compiles") == 20
 
     def test_probe_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(evaluator, "PROBE_CACHE_LIMIT", 4)
-        context = EvalContext()
+        monkeypatch.setattr(evaluator, "PLAN_CACHE_LIMIT", 4)
+        context = EvalContext(profile=True)
         universe = small_universe()
         for day in range(20):
             query = parse_query(f"?.euter.r(.date=3/{day % 9 + 1}/85)")
-            answers(query, universe, None, context)
-        assert len(context._probe_cache) <= 4
+            assert holds(query, universe, None, context) == (day % 9 + 1 in (3, 4))
+        # One shape: one plan, probing the date index on every call.
+        assert len(context.plans) <= 4
+        assert context.plans.compiles == 1
+        assert context.counters["index.builds"] == 1
+        assert context.counters["index.hits"] == 19
 
     def test_lru_keeps_recent_entries(self, monkeypatch):
-        monkeypatch.setattr(evaluator, "PROBE_CACHE_LIMIT", 2)
+        monkeypatch.setattr(evaluator, "PLAN_CACHE_LIMIT", 4)
         context = EvalContext()
         universe = small_universe()
-        hot = parse_query("?.euter.r(.date=3/3/85)")
-        answers(hot, universe, None, context)
+        hot = parse_query("?.euter.r(.date=3/3/85)").expr
+        colds = []
         for day in range(5):
-            answers(hot, universe, None, context)  # refresh the hot entry
-            cold = parse_query(f"?.euter.r(.date=4/{day + 1}/85)")
-            answers(cold, universe, None, context)
-        from repro.core import ast
-
-        node = hot.expr
-        while not isinstance(node, ast.SetExpr):  # descend to .euter.r(...)
-            node = node.conjuncts[0] if isinstance(node, ast.TupleExpr) else node.expr
-        assert any(
-            entry[0] is node for entry in context._probe_cache.values()
-        )
+            assert list(satisfy(hot, universe, None, context))  # refresh
+            cold = parse_query(f"?.euter.r(.date=4/{day + 1}/85, .stkCode=S{day})")
+            colds.append(cold.expr)
+            list(satisfy(cold.expr, universe, None, context))
+        assert len(context.plans) <= 4
+        assert context.plans.pins(hot)
+        assert context.plans.pins(colds[-1])
+        assert not any(context.plans.pins(cold) for cold in colds[:-1])
+        assert context.plans.evictions > 0
 
 
 # -- observability ------------------------------------------------------------

@@ -5,14 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ast
-from repro.core.parser import parse_expression
+from repro.core.evaluator import EvalContext, satisfy
+from repro.core.parser import parse_expression, parse_query
 from repro.core.safety import (
     check_query_safe,
     is_ready,
     order_conjuncts,
     produced_vars,
 )
-from repro.errors import SafetyError
+from repro.core.terms import Const
+from repro.errors import EvaluationError, SafetyError
+from repro.objects import Universe
 
 
 def conjuncts(source):
@@ -144,3 +147,42 @@ class TestOrdering:
         check_query_safe(parse_expression("?.a.r(.x=X), .b.s(.y>X)"))
         with pytest.raises(SafetyError):
             check_query_safe(parse_expression("?.a.r(.x>X)"))
+
+
+class TestLazyPlanErrors:
+    """Compiled plans raise where the program reaches the bad node,
+    never at compile time."""
+
+    def test_unbound_term_raises_only_when_reached(self):
+        universe = Universe.from_python(
+            {"euter": {"r": [{"stkCode": "hp", "clsPrice": 50}]}}
+        )
+        context = EvalContext(reorder=False)
+        unreached = parse_query("?.euter.zzz(.a=1), .euter.r(.clsPrice>P)")
+        assert list(satisfy(unreached.expr, universe, None, context)) == []
+        reached = parse_query("?.euter.r(.clsPrice>P)")
+        results = satisfy(reached.expr, universe, None, context)  # no raise yet
+        with pytest.raises(SafetyError, match="P is unbound"):
+            list(results)
+
+    def test_unorderable_conjunction_raises_only_when_reached(self):
+        universe = Universe.from_python({"d": {"empty": [], "r": [{"a": 1}]}})
+        step = parse_query("?.d.empty(.a>X)").expr.conjuncts[0].expr
+        # .empty(...) over an empty set never reaches the inner ordering.
+        assert list(satisfy(step, universe.get("d"))) == []
+        step = parse_query("?.d.r(.a>X)").expr.conjuncts[0].expr
+        with pytest.raises(SafetyError):
+            list(satisfy(step, universe.get("d")))
+
+    def test_non_string_attribute_constant_raises_only_when_reached(self):
+        universe = Universe.from_python({"d": {"r": [{"a": 1}], "e": []}})
+        for relation, raises in (("e", False), ("r", True)):
+            expr = ast.TupleExpr([ast.AttrStep(Const("d"), ast.AttrStep(
+                Const(relation), ast.SetExpr(ast.AttrStep(Const(5), ast.Epsilon()))
+            ))])
+            results = satisfy(expr, universe)
+            if raises:
+                with pytest.raises(EvaluationError, match="attribute names"):
+                    list(results)
+            else:
+                assert list(results) == []
