@@ -14,7 +14,7 @@ materialization store, and an update executor. Typical use::
 
 Queries run against the *merged* view (base universe plus materialized
 derived overlay); updates run against the base universe only, wrapped in
-a snapshot transaction (atomic by default), and repair (or invalidate)
+an undo-log transaction (atomic by default), and repair (or invalidate)
 the store.
 """
 
@@ -634,10 +634,26 @@ class IdlEngine:
 
     def update(self, source, atomic=True, **params):
         """Execute an update request (program calls and view updates
-        included). ``atomic=True`` snapshots the universe and rolls back
-        on any error; the request still *succeeds-or-not* per the paper's
+        included). ``atomic=True`` rolls the universe back on any error;
+        the request still *succeeds-or-not* per the paper's
         success/failure semantics — inspect the returned UpdateResult."""
-        from repro.core.updates import UpdateContext, UpdateDelta
+        return self._update(source, atomic, params)
+
+    def _update(self, source, atomic, params, guard=None):
+        """:meth:`update`, plus an optional ``guard(result)`` that runs
+        before the update is committed to the materialization store;
+        an :class:`IdlError` it raises rolls the request back like any
+        other failure (authorization checks use this).
+
+        The transaction is an undo log: every container the request
+        mutates leaves its pre-image on the
+        :class:`~repro.core.updates.UndoLog`, and a rollback restores
+        those, so neither path walks or copies the whole universe. The
+        request's :class:`~repro.core.updates.UpdateDelta` is always
+        captured — maintenance repairs the store from it and the
+        federation stages member changes from it.
+        """
+        from repro.core.updates import UndoLog, UpdateContext, UpdateDelta
         from repro.obs.trace import NOOP_SPAN
 
         statement = self._one_query(source, allow_update=True)
@@ -645,33 +661,28 @@ class IdlEngine:
         span = (obs.span("engine.update")
                 if obs is not None and obs.enabled else NOOP_SPAN)
         executor = UpdateExecutor(self.program, self.universe, self.eval_ctx)
-        # Capture concrete element-level deltas only when the store
-        # holds strata to maintain with them; otherwise the
-        # capture hooks stay no-ops and the update pays nothing.
-        capture = self.maintain and bool(self._store)
-        uctx = UpdateContext(self.eval_ctx,
-                             delta=UpdateDelta() if capture else None)
-        snapshot = self.universe.snapshot() if atomic else None
+        uctx = UpdateContext(self.eval_ctx, delta=UpdateDelta(),
+                             undo=UndoLog() if atomic else None)
         with span:
             try:
                 result = executor.execute_request(statement, params or None,
                                                   uctx=uctx)
-                # Value-keyed set indexes only go stale when an element
-                # was mutated in place; pure insert/delete requests keep
-                # every surviving key intact.
-                if uctx.modified:
-                    self._reindex_universe()
                 if len(self.constraints):
                     self.constraints.enforce(self.universe)
+                if guard is not None:
+                    guard(result)
             except IdlError:
-                if snapshot is not None:
-                    self._restore(snapshot)
+                if atomic:
+                    # The universe is back to its exact prior state, so
+                    # the store (built from that state) stays valid.
+                    uctx.undo.rollback()
                 else:
-                    # Non-atomic failure: the base may be partially mutated,
-                    # so cached views (and set indexes) must not survive.
+                    # Non-atomic failure: the base may be partially
+                    # mutated (an element mid-update is not yet re-keyed),
+                    # so cached views and set keys must not survive.
                     self._reindex_universe()
                     self.invalidate()
-                span.set("rolled_back", snapshot is not None)
+                span.set("rolled_back", atomic)
                 raise
             span.set("inserted", result.inserted)
             span.set("deleted", result.deleted)
@@ -715,15 +726,9 @@ class IdlEngine:
         items = ", ".join(f".{key}={_literal(value)}" for key, value in args.items())
         return self.update(f"?.{db}.{program}({items})")
 
-    def _restore(self, snapshot):
-        for name in list(self.universe.attr_names()):
-            self.universe.remove(name)
-        for name in snapshot.attr_names():
-            self.universe.set(name, snapshot.get(name))
-        self.invalidate()
-
     def _reindex_universe(self):
-        """Rebuild set value-indexes after in-place element mutation."""
+        """Re-key every set of the universe (after a non-atomic update
+        failed part-way through an in-place element mutation)."""
         _reindex(self.universe)
 
     # -- helpers ------------------------------------------------------------

@@ -262,17 +262,30 @@ def _seminaive_stratum(stratum, universe, overlay, stats, context):
                     changed = make_true(analyzed, subst, overlay)
                     if changed is not None:
                         stats.derivations += 1
-                        make_true(analyzed, subst, next_delta)
+                        _track_delta(analyzed, subst, changed, next_delta)
         delta = next_delta
 
 
 def _derive_tracking_delta(analyzed, view, overlay, delta, context):
     changes = 0
     for subst in satisfy(analyzed.body, view, None, context):
-        if make_true(analyzed, subst, overlay) is not None:
+        changed = make_true(analyzed, subst, overlay)
+        if changed is not None:
             changes += 1
-            make_true(analyzed, subst, delta)
+            _track_delta(analyzed, subst, changed, delta)
     return changes
+
+
+def _track_delta(analyzed, subst, changed, delta):
+    """Record in ``delta`` the change :func:`make_true` just made to the
+    overlay. A plain rule's new element is shared, not built again (no
+    one mutates either copy in place); a merged element or a newly
+    created relation is replayed through ``make_true``."""
+    if analyzed.merge_on or changed.is_set:
+        make_true(analyzed, subst, delta)
+    else:
+        set_path_fact(delta, tuple(resolve_target(analyzed.target, subst)),
+                      changed)
 
 
 def _delta_variants(analyzed, stratum_targets):
@@ -682,8 +695,14 @@ def paths_overlay(path_elements):
 
 
 def set_path_fact(overlay, names, element):
-    """Add a copy of ``element`` to the relation at ``names``."""
-    ensure_relation(overlay, names).add(element.copy())
+    """Add ``element`` itself to the relation at ``names``.
+
+    Callers pass elements nobody mutates in place: freshly built ones
+    (:func:`~repro.core.updates.build_object` copies what it binds) or
+    an :class:`~repro.core.updates.UpdateDelta`'s recorded copies; the
+    overlays of maintained strata are never patched in place (merge
+    rules fall back), so the element may be shared between them."""
+    ensure_relation(overlay, names).add(element)
 
 
 def ensure_relation(overlay, names):

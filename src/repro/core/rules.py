@@ -332,14 +332,15 @@ def _merge_element(relation, element, merge_on):
             existing.has(key) and same_value(existing.get(key), value)
             for key, value in keys
         ):
-            changed = False
+            old_key = None
             for name in element.attr_names():
                 obj = element.get(name)
                 if not existing.has(name) or not same_value(existing.get(name), obj):
+                    if old_key is None:
+                        old_key = existing.value_key()
                     existing.set(name, obj)
-                    changed = True
-            if changed:
-                relation.refresh(existing)
+            if old_key is not None:
+                relation.refresh(existing, old_key)
                 return existing
             return None
     return element if relation.add(element) else None

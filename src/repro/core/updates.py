@@ -39,9 +39,11 @@ Ordering rules (the paper makes update order significant):
   not changed") makes the intended domain clear. Documented as a
   semantic clarification in DESIGN.md.
 
-Mutations happen in place on the base universe; the engine wraps
-requests in a snapshot-rollback transaction and reindexes sets whose
-elements were mutated.
+Mutations happen in place on the base universe. A set element mutated
+in place is re-keyed in its set as soon as the mutation lands (O(1),
+from the element's pre-mutation key), and an :class:`UndoLog` on the
+context records the pre-image of every container a request mutates, so
+the engine rolls a failed request back by restoring exactly those.
 """
 
 from __future__ import annotations
@@ -140,9 +142,11 @@ class UpdateResult:
 
     ``touched`` is the set of ``(db, rel)`` path prefixes whose contents
     were mutated — the engine's selective re-materialization uses it to
-    rebuild only the affected view strata. ``delta`` (optional) is the
-    :class:`UpdateDelta` of concrete element-level changes when the
-    engine asked for capture; it drives incremental view maintenance.
+    rebuild only the affected view strata. ``delta`` is the
+    :class:`UpdateDelta` of concrete element-level changes (None when
+    the caller's context captured none — ``IdlEngine.update`` always
+    captures); it drives incremental view maintenance and the
+    federation's member change sets.
     """
 
     __slots__ = ("substitutions", "inserted", "deleted", "modified", "touched",
@@ -174,26 +178,64 @@ class UpdateResult:
         )
 
 
+class UndoLog:
+    """The pre-images of everything one update request mutated.
+
+    On the first mutation of each container in the request the log
+    keeps its :meth:`checkpoint` — a set's element map, a tuple's
+    attribute map (both shallow) or an atom's value. :meth:`rollback`
+    restores them newest first, which brings the universe back to its
+    prior state in value, iteration order and object identity, and
+    bumps every restored set's version so no index built during the
+    request survives. The cost is proportional to what the request
+    touched, not to the size of the universe.
+    """
+
+    __slots__ = ("_entries", "_saved")
+
+    def __init__(self):
+        self._entries = []
+        # ids of saved containers; the entries keep the objects alive,
+        # so an id cannot be reused while it is in here.
+        self._saved = set()
+
+    def save(self, obj):
+        """Record ``obj``'s pre-image unless this request already did."""
+        key = id(obj)
+        if key not in self._saved:
+            self._saved.add(key)
+            self._entries.append((obj, obj.checkpoint()))
+
+    def rollback(self):
+        """Restore every recorded pre-image, newest first."""
+        for obj, checkpoint in reversed(self._entries):
+            obj.restore(checkpoint)
+        self._entries.clear()
+        self._saved.clear()
+
+
 class _UpdateContext:
     """Mutable evaluation state shared across one update request.
 
     ``delta`` (optional :class:`UpdateDelta`) turns on element-level
-    change capture; with ``delta=None`` every capture hook is a cheap
-    no-op, so updates that feed no materialized view pay nothing.
+    change capture; ``undo`` (optional :class:`UndoLog`) keeps what a
+    rollback needs. With either set to None its hooks are cheap no-ops.
     """
 
     __slots__ = ("eval_ctx", "inserted", "deleted", "modified", "touched",
-                 "delta", "_preimages")
+                 "delta", "undo", "_preimages")
 
-    def __init__(self, eval_ctx=None, delta=None):
+    def __init__(self, eval_ctx=None, delta=None, undo=None):
         self.eval_ctx = eval_ctx or EvalContext()
         self.inserted = 0
         self.deleted = 0
         self.modified = 0
         self.touched = set()  # (db, rel) prefixes of mutated paths
         self.delta = delta
-        # Stack of [element, copy-or-None] cells for set elements being
-        # mutated in place; ``fire_preimages`` copies each element the
+        self.undo = undo
+        # Stack of [set, element, key, copy] cells for set elements
+        # being mutated in place; ``before_mutation`` fills in the
+        # element's pre-mutation key (and, with a delta, a copy) the
         # moment the first real mutation beneath it is about to happen.
         self._preimages = []
 
@@ -214,24 +256,35 @@ class _UpdateContext:
         if self.delta is not None:
             self.delta.mark_symbolic(path)
 
-    def push_preimage(self, element):
-        """Register a set element about to be (possibly) mutated in
-        place; returns a token for :meth:`pop_preimage`."""
-        self._preimages.append([element, None])
+    def push_preimage(self, owner, element):
+        """Register an element of set ``owner`` about to be (possibly)
+        mutated in place; returns a token for :meth:`pop_preimage`."""
+        self._preimages.append([owner, element, None, None])
         return len(self._preimages) - 1
 
     def pop_preimage(self, token):
-        """The pre-mutation copy of the element (None when nothing
-        beneath it actually mutated)."""
+        """``(key, copy)``: the element's pre-mutation ``value_key`` and
+        copy (the copy only with a delta); ``(None, None)`` when nothing
+        beneath it actually mutated."""
         cell = self._preimages[token]
         del self._preimages[token:]
-        return cell[1]
+        return cell[2], cell[3]
 
-    def fire_preimages(self):
-        """Snapshot every pending element before a mutation lands."""
+    def before_mutation(self, obj):
+        """Called right before ``obj`` is mutated: keys (and copies)
+        every pending set element above it and saves the pre-images of
+        ``obj`` and of the sets holding those elements."""
+        undo = self.undo
         for cell in self._preimages:
-            if cell[1] is None:
-                cell[1] = cell[0].copy()
+            if cell[2] is None:
+                element = cell[1]
+                cell[2] = element.value_key()
+                if self.delta is not None:
+                    cell[3] = element.copy()
+                if undo is not None:
+                    undo.save(cell[0])
+        if undo is not None:
+            undo.save(obj)
 
 
 # Public alias: the executor threads one context across a whole request.
@@ -367,7 +420,7 @@ def _update_attr_step(expr, obj, subst, uctx, excluded, path=()):
         name = term_name(expr.attr, subst)
         if name is None or name is NOT_A_NAME:
             raise UpdateError(f"tuple plus needs a known attribute name: {expr!r}")
-        uctx.fire_preimages()
+        uctx.before_mutation(obj)
         obj.set(name, _empty_for(expr.expr))
         uctx.modified += 1
         uctx.touch(path + (name,))
@@ -431,7 +484,7 @@ def _tuple_minus(expr, obj, subst, uctx, excluded, path=()):
     removed = set()
     for attr_name, _ in matches:
         if attr_name not in removed and obj.has(attr_name):
-            uctx.fire_preimages()
+            uctx.before_mutation(obj)
             obj.remove(attr_name)
             removed.add(attr_name)
             uctx.deleted += 1
@@ -458,7 +511,7 @@ def _update_set_expr(expr, obj, subst, uctx, path=()):
     if expr.sign == ast.PLUS:
         if not isinstance(expr.inner, ast.Epsilon):
             element = build_object(expr.inner, subst)
-            uctx.fire_preimages()
+            uctx.before_mutation(obj)
             if obj.add(element):
                 uctx.inserted += 1
                 uctx.touch(path)
@@ -477,7 +530,7 @@ def _update_set_expr(expr, obj, subst, uctx, path=()):
             key = element.value_key()
             if key not in removed:
                 removed.add(key)
-                uctx.fire_preimages()
+                uctx.before_mutation(obj)
                 obj.discard_value(element)
                 uctx.deleted += 1
                 uctx.touch(path)
@@ -494,20 +547,20 @@ def _update_set_expr(expr, obj, subst, uctx, path=()):
         return
 
     # Unsigned set expression with inner updates: select elements, mutate
-    # them in place, then re-index the set (elements are value-keyed).
+    # them in place, re-keying each mutated one (elements are value-keyed).
     results = []
     delta = uctx.delta
     for element in obj.elements():
         before = (uctx.inserted, uctx.deleted, uctx.modified)
         if delta is not None:
             mark = delta.mark()
-            token = uctx.push_preimage(element)
+        token = uctx.push_preimage(obj, element)
         for extended in _update_satisfy(expr.inner, element, subst, uctx,
                                         frozenset(), path):
             results.append(extended)
-        preimage = uctx.pop_preimage(token) if delta is not None else None
+        old_key, preimage = uctx.pop_preimage(token)
         if (uctx.inserted, uctx.deleted, uctx.modified) != before:
-            obj.refresh(element)
+            obj.refresh(element, old_key)
             uctx.touch(path)
             if delta is not None:
                 # The records made while mutating the element describe
@@ -533,7 +586,7 @@ def _apply_atomic_update(expr, obj, subst, uctx, path=()):
         value_obj = evaluate_term(expr.term, subst)
         if not value_obj.is_atom:
             raise UpdateError("atomic plus requires an atomic value")
-        uctx.fire_preimages()
+        uctx.before_mutation(obj)
         obj.value = value_obj.value
         uctx.modified += 1
         uctx.touch(path)
@@ -547,7 +600,7 @@ def _apply_atomic_update(expr, obj, subst, uctx, path=()):
         if obj.is_null:
             return  # nothing to bind: the null atom satisfies no expression
         bound = subst.bind(term.name, Atom(obj.value))
-        uctx.fire_preimages()
+        uctx.before_mutation(obj)
         obj.value = None
         uctx.modified += 1
         uctx.touch(path)
@@ -557,7 +610,7 @@ def _apply_atomic_update(expr, obj, subst, uctx, path=()):
     value_obj = evaluate_term(term, subst)
     if obj.is_atom and value_obj.is_atom and not obj.is_null:
         if obj.compare("=", value_obj.value):
-            uctx.fire_preimages()
+            uctx.before_mutation(obj)
             obj.value = None
             uctx.modified += 1
             uctx.touch(path)
@@ -579,7 +632,11 @@ def build_object(expr, subst):
         if expr.op != "=":
             raise UpdateError("constructors use '=' only (simple expressions)")
         value_obj = evaluate_term(expr.term, subst)
-        return value_obj.copy() if not isinstance(value_obj, Atom) else value_obj
+        # A variable is bound to an object of the universe: copy it, or
+        # the new element would share (and a later in-place update of
+        # either would silently change) the other's atom. Constants and
+        # arithmetic already evaluate to fresh atoms.
+        return value_obj.copy() if isinstance(expr.term, Var) else value_obj
     if isinstance(expr, ast.AttrStep):
         return build_object(ast.TupleExpr([expr]), subst)
     if isinstance(expr, ast.TupleExpr):

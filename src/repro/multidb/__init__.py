@@ -35,6 +35,7 @@ from repro.multidb.adapters import (
 )
 from repro.multidb.config import FederationConfig
 from repro.multidb.connectors import (
+    ChangeSet,
     FaultyConnector,
     InMemoryConnector,
     MemberConnector,
@@ -96,6 +97,7 @@ __all__ = [
     "AccessPolicy",
     "AuthorizedSession",
     "AvailabilityReport",
+    "ChangeSet",
     "CircuitBreaker",
     "CrashInjector",
     "CrashPoint",

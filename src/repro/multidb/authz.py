@@ -166,8 +166,12 @@ class AuthorizedSession:
     def update(self, source, **params):
         """Run an update request; roll back unless every touched
         ``(db, rel)`` is covered by a write grant."""
-        snapshot = self.engine.universe.snapshot()
-        result = self.engine.update(source, atomic=True, **params)
+        return self.engine._update(source, True, params,
+                                   guard=self._authorize_writes)
+
+    def _authorize_writes(self, result):
+        """Raise (making the engine roll the request back through its
+        undo log) unless every touched ``(db, rel)`` is writable."""
         unauthorized = [
             prefix
             for prefix in result.touched
@@ -177,12 +181,10 @@ class AuthorizedSession:
             )
         ]
         if unauthorized:
-            self.engine._restore(snapshot)
             rendered = ", ".join(".".join(prefix) for prefix in sorted(unauthorized))
             raise AuthorizationError(
                 f"principal {self.principal!r} may not write {rendered}"
             )
-        return result
 
     def call(self, db, program, **args):
         from repro.core.engine import _literal

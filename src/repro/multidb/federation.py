@@ -19,13 +19,14 @@ recover. See ``docs/fault_tolerance.md``.
 
 Updates are *atomic across members*: every flush runs a write-ahead
 update-commit protocol against an
-:class:`~repro.multidb.journal.UpdateJournal` (intent with the full
-desired state of every member, per-member apply outcomes, commit), and
-``recover()`` replays incomplete updates idempotently after a crash —
-so every member ends at exactly the pre-update or post-update state,
-never a mix. The chaos property suite (``pytest -m chaos``) drives
-random update workloads against deterministic crash schedules to hold
-the federation to that invariant.
+:class:`~repro.multidb.journal.UpdateJournal` (intent with the
+row-level :class:`~repro.multidb.connectors.ChangeSet` of every member,
+per-member apply outcomes, commit), and ``recover()`` replays
+incomplete updates idempotently after a crash — so every member ends at
+exactly the pre-update or post-update state, never a mix. The chaos
+property suite (``pytest -m chaos``) drives random update workloads
+against deterministic crash schedules to hold the federation to that
+invariant.
 
 The whole pipeline is observable: the federation owns a
 :class:`~repro.obs.Observability` (tracing on by default) shared with
@@ -47,9 +48,13 @@ from repro.errors import (
     StaleMemberError,
     ValidationError,
 )
-from repro.multidb.adapters import storage_to_relations, universe_rows
+from repro.multidb.adapters import (
+    member_changes,
+    storage_to_relations,
+    universe_rows,
+)
 from repro.multidb.config import FederationConfig
-from repro.multidb.connectors import _as_connector
+from repro.multidb.connectors import ChangeSet, _as_connector
 from repro.multidb.executor import MemberExecutor, MemberTask
 from repro.multidb.journal import InMemoryJournal
 from repro.multidb.resilience import (
@@ -648,9 +653,7 @@ class Federation:
             relations = self.connectors[name].scan()
         style = self._resolve_style(name, self.members[name], relations)
         self.members[name] = style
-        if self.engine.universe.has(name):
-            self.engine.drop_database(name)
-        self.engine.add_database(name, relations)
+        self._install_snapshot(name, relations)
         self._attached.add(name)
         self.quarantined.pop(name, None)
         self._stale.pop(name, None)
@@ -675,7 +678,8 @@ class Federation:
 
     def _replay_pending_member(self, name):
         """Roll one just-recovered member forward through every pending
-        journaled update it still owes (oldest first)."""
+        journaled update it still owes (oldest first), then re-scan it
+        into the universe."""
         pending = [
             update for update in self.journal.pending()
             if name in update.remaining
@@ -684,19 +688,27 @@ class Federation:
             return
         with self.obs.span("federation.replay", member=name) as span:
             for update in pending:
-                desired = update.desired[name]
                 self._crash_point("connector.apply")
-                self.connectors[name].apply(desired)
+                self.connectors[name].apply(update.changes(name))
                 self.journal.record_member(update.update_id, name, "applied",
                                            via="recover")
-                if self.engine.universe.has(name):
-                    self.engine.drop_database(name)
-                self.engine.add_database(name, desired)
                 span.event("replay", update_id=update.update_id, member=name)
                 if not [m for m in update.desired if m not in
                         self.journal.applied_members(update.update_id)]:
                     self.journal.commit(update.update_id)
                     span.event("commit", update_id=update.update_id)
+            try:
+                self._install_snapshot(name, self.connectors[name].scan())
+            except MemberUnavailableError:
+                # Rolled forward, but the universe still holds the
+                # attach scan: the member is ahead of it.
+                self._stale[name] = "pull"
+
+    def _install_snapshot(self, name, relations):
+        """Replace the universe's copy of member ``name``."""
+        if self.engine.universe.has(name):
+            self.engine.drop_database(name)
+        self.engine.add_database(name, relations)
 
     def _quarantine(self, name, reason):
         """Detach ``name``: drop its snapshot, remember why. Its rules
@@ -784,20 +796,17 @@ class Federation:
         recovered from an outage is re-*pulled* (the member is the
         authority on its own data). A successful push also settles the
         member's share of every pending journaled update — the pushed
-        state subsumes each journaled desired state — committing
+        state subsumes each journaled change set — committing
         updates it completes.
         """
         direction = self._stale.get(name, "pull")
         if direction == "push":
-            self.connectors[name].apply(
+            self.connectors[name].apply(ChangeSet.replace_all(
                 universe_rows(self.engine.universe, name)
-            )
+            ))
             self.journal.resolve_member(name, via="resync")
         else:
-            relations = self.connectors[name].scan()
-            if self.engine.universe.has(name):
-                self.engine.drop_database(name)
-            self.engine.add_database(name, relations)
+            self._install_snapshot(name, self.connectors[name].scan())
         self._stale.pop(name, None)
         return self
 
@@ -807,10 +816,11 @@ class Federation:
         """Replay incomplete journaled updates at startup, idempotently.
 
         For every pending intent (oldest first), each member that never
-        journaled an ``applied`` outcome is rolled *forward* to its
-        journaled desired state — full states, so re-applying is
-        idempotent and a second :meth:`recover` is a no-op. Members
-        journaled applied are not touched. A member that cannot be
+        journaled an ``applied`` outcome is rolled *forward* by its
+        journaled change set — idempotent, so re-applying it is
+        harmless and a second :meth:`recover` is a no-op — and then
+        re-scanned into the universe. Members journaled applied are not
+        touched. A member that cannot be
         reached stays quarantined/stale exactly as a failed flush
         leaves it (its share replays on the next recover, probe or
         resync). A pending update older than a later *committed* one is
@@ -891,15 +901,17 @@ class Federation:
                 span.event("replay-failed", update_id=update.update_id,
                            member=member, error=str(outcome.error))
                 continue
-            desired = update.desired[member]
-            if member in self._attached:
-                # The universe snapshot (scanned at install, possibly
-                # pre-update) must match the member we just rolled
-                # forward.
-                if self.engine.universe.has(member):
-                    self.engine.drop_database(member)
-                self.engine.add_database(member, desired)
-            self._stale.pop(member, None)
+            if outcome.value is None:
+                # Applied and journaled, but the re-scan failed: the
+                # member is ahead of the universe's copy of it.
+                self._stale[member] = "pull"
+            else:
+                if member in self._attached:
+                    # The universe snapshot (scanned at install, possibly
+                    # pre-update) must match the member we just rolled
+                    # forward.
+                    self._install_snapshot(member, outcome.value)
+                self._stale.pop(member, None)
             span.event("replay", update_id=update.update_id, member=member)
             done.append(member)
         if not [m for m in update.desired
@@ -910,15 +922,21 @@ class Federation:
         return done
 
     def _make_replay_task(self, update, member):
-        """One member's replay body: apply the journaled desired state
-        and journal the outcome (runs on a worker in parallel mode)."""
-        desired = update.desired[member]
+        """One member's replay body: apply the journaled change set,
+        journal the outcome and re-scan the member (runs on a worker in
+        parallel mode). Returns the scan, or None when only it failed."""
+        changes = update.changes(member)
+        connector = self.connectors[member]
 
         def replay():
             self._crash_point("connector.apply")
-            self.connectors[member].apply(desired)
+            connector.apply(changes)
             self.journal.record_member(update.update_id, member, "applied",
                                        via="recover")
+            try:
+                return connector.scan()
+            except MemberUnavailableError:
+                return None
 
         return replay
 
@@ -1181,14 +1199,16 @@ class Federation:
         """Two-phase flush when the engine mutated anything; returns
         ``(member_outcomes, flushed, update_id)``.
 
-        Phase one *stages*: the desired post-state of every backed
+        Phase one *stages*: the
+        :class:`~repro.multidb.connectors.ChangeSet` of every backed
         member in the update's write set (statically inferred, unioned
         with the runtime touched set — see :meth:`_narrow_targets`) is
-        computed from the universe and journaled as one intent record
-        (the write-ahead step — nothing has touched a member yet).
+        built from the update's delta (:func:`member_changes`) and
+        journaled as one intent record (the write-ahead step — nothing
+        has touched a member yet).
         Members outside the write set are not journaled and report
         ``UNCHANGED``. Phase two *applies*: each staged member's
-        connector takes its staged state under the usual retry/circuit
+        connector applies its change set under the usual retry/circuit
         machinery, and its outcome is journaled as it lands; a
         fully-applied update is closed with a commit record. A crash
         anywhere in between leaves a pending intent that
@@ -1203,10 +1223,8 @@ class Federation:
             narrowed = self._narrow_targets(
                 targets, static_writes, engine_result.touched
             )
-            staged = {
-                name: universe_rows(self.engine.universe, name)
-                for name in sorted(narrowed)
-            }
+            staged = member_changes(self.engine.universe,
+                                    engine_result.delta, sorted(narrowed))
             outcomes = {
                 name: SNAPSHOT_ONLY
                 for name in sorted(self._attached - self._flushed)
@@ -1233,11 +1251,11 @@ class Federation:
             tasks = [
                 MemberTask(
                     name,
-                    (lambda name=name, desired=desired:
-                     self._apply_staged(update_id, name, desired, span)),
+                    (lambda name=name, changes=changes:
+                     self._apply_staged(update_id, name, changes, span)),
                     deadline=self._wall_deadline(name),
                 )
-                for name, desired in staged.items()
+                for name, changes in staged.items()
             ]
             failure = None
             for outcome in self.executor.map(tasks, label="flush",
@@ -1252,7 +1270,7 @@ class Federation:
                         failure = outcome.error
             if failure is not None:
                 # Members not yet reached (serial) or not applied
-                # (parallel) are owed the staged state too: mark every
+                # (parallel) are owed their change set too: mark every
                 # non-applied member stale (push) so nothing serves a
                 # divergent snapshot as fresh.
                 for other in staged:
@@ -1266,14 +1284,14 @@ class Federation:
         root.set("flushed", True)
         return outcomes, True, update_id
 
-    def _apply_staged(self, update_id, name, desired, span):
-        """Apply one member's staged state and journal the outcome. On
+    def _apply_staged(self, update_id, name, changes, span):
+        """Apply one member's change set and journal the outcome. On
         failure the member is marked stale (push) — the journaled
         intent stays pending for resync/recover — and the error
         propagates, exactly as an unjournaled flush failure did."""
         self._crash_point("connector.apply")
         try:
-            self.connectors[name].apply(desired)
+            self.connectors[name].apply(changes)
         except Exception:
             self._stale[name] = "push"
             if update_id is not None:

@@ -13,15 +13,24 @@ checksummed JSON-lines log of *update-commit protocol* records:
 
 ``intent``
     written before any member is touched; carries a monotonic
-    ``update`` id and the full desired post-state of every member the
-    flush will reach (full states, not deltas, so replay is idempotent).
-    With member pruning on (the default), the federation *narrows* the
-    intent to the update's write set — the statically inferred write
-    effects (see :mod:`repro.analysis.effects`) unioned with the
-    members the executor actually touched — so a single-member update
-    journals one member's post-state, not the whole federation's.
-    Members outside the write set appear in neither the intent nor the
-    ``member`` records; recovery replays exactly the narrowed set;
+    ``update`` id and, for every member the flush will reach, the
+    :class:`~repro.multidb.connectors.ChangeSet` it will apply — the
+    rows the update deletes and inserts per relation, a relation's
+    rows to replace, or a relation to drop. Replay is idempotent
+    because the change set is: deletes match by full row value and
+    inserts skip rows already present, so a member that took the
+    update, took none of it, or took a torn prefix of it (removals
+    first) ends at the post-state. Members listed under ``exact`` hold
+    exactly their named relations afterwards (full-state replaces).
+    An intent without ``"format": "changes"`` predates change sets: its
+    members carry full states ``{rel: rows}`` and decode as exact
+    replaces, so an old journal still recovers. With member pruning on
+    (the default), the federation *narrows* the intent to the update's
+    write set — the statically inferred write effects (see
+    :mod:`repro.analysis.effects`) unioned with the members the
+    executor actually touched. Members outside the write set appear in
+    neither the intent nor the ``member`` records; recovery replays
+    exactly the narrowed set;
 ``member``
     one per member outcome (``applied``/``failed``), written right
     after the member's connector ``apply`` returns, with the path that
@@ -60,12 +69,16 @@ import threading
 import zlib
 
 from repro.errors import JournalError
+from repro.multidb.connectors import ChangeSet
 
 #: Record types, in protocol order.
 INTENT = "intent"
 MEMBER = "member"
 COMMIT = "commit"
 ABORT = "abort"
+
+#: The ``format`` of intents whose members carry change sets.
+CHANGES_FORMAT = "changes"
 
 #: Update lifecycle states.
 PENDING = "pending"
@@ -189,16 +202,22 @@ class PendingUpdate:
     """One incomplete journaled update, as :meth:`UpdateJournal.pending`
     reports it: what was intended, which members already took it."""
 
-    __slots__ = ("update_id", "seq", "desired", "applied", "failed",
+    __slots__ = ("update_id", "seq", "desired", "exact", "applied", "failed",
                  "origin")
 
-    def __init__(self, update_id, seq, desired, applied, failed, origin):
+    def __init__(self, update_id, seq, desired, exact, applied, failed,
+                 origin):
         self.update_id = update_id
         self.seq = seq
-        self.desired = desired  # {member: {rel: rows}}
+        self.desired = desired  # {member: encoded change set}
+        self.exact = exact  # members whose change set is exact
         self.applied = dict(applied)  # {member: via}
         self.failed = set(failed)
         self.origin = origin
+
+    def changes(self, member):
+        """The member's journaled :class:`ChangeSet`."""
+        return ChangeSet.decode(self.desired[member], member in self.exact)
 
     @property
     def remaining(self):
@@ -216,13 +235,14 @@ class PendingUpdate:
 
 
 class _UpdateState:
-    __slots__ = ("update_id", "seq", "desired", "applied", "failed",
+    __slots__ = ("update_id", "seq", "desired", "exact", "applied", "failed",
                  "origin", "status", "resolved_seq")
 
-    def __init__(self, update_id, seq, desired, origin):
+    def __init__(self, update_id, seq, desired, exact, origin):
         self.update_id = update_id
         self.seq = seq
-        self.desired = desired  # {member: {rel: rows}}; names once resolved
+        self.desired = desired  # {member: change set}; names once resolved
+        self.exact = exact
         self.applied = {}  # member -> via of the successful apply
         self.failed = set()
         self.origin = origin
@@ -304,7 +324,11 @@ class UpdateJournal:
         if update_id is not None:
             self._next_update = max(self._next_update, update_id + 1)
         if kind == INTENT:
-            state = _UpdateState(update_id, seq, record.get("members", {}),
+            members = record.get("members", {})
+            exact = (frozenset(record.get("exact", ()))
+                     if record.get("format") == CHANGES_FORMAT
+                     else frozenset(members))
+            state = _UpdateState(update_id, seq, members, exact,
                                  record.get("origin", "update"))
             self._states[update_id] = state
             self._order.append(update_id)
@@ -332,6 +356,7 @@ class UpdateJournal:
             # Only pending updates are ever replayed: a resolved one
             # keeps its member names, not its staged rows.
             state.desired = tuple(state.desired)
+            state.exact = frozenset()
             if kind == COMMIT:
                 self._last_committed_seq = max(self._last_committed_seq, seq)
         else:
@@ -364,18 +389,27 @@ class UpdateJournal:
 
     # -- the protocol ----------------------------------------------------
 
-    def begin(self, desired, origin="update"):
-        """Journal the intent to bring every member of ``desired``
-        (``{member: {rel: rows}}``) to its recorded state; returns the
-        new monotonic update id."""
+    def begin(self, changes, origin="update"):
+        """Journal the intent to apply ``changes`` (``{member:
+        ChangeSet}``; a plain ``{rel: rows}`` full state stands for its
+        exact replace) to every member named; returns the new monotonic
+        update id."""
+        changes = {member: ChangeSet.coerce(change)
+                   for member, change in changes.items()}
+        record = {
+            "type": INTENT,
+            "origin": origin,
+            "format": CHANGES_FORMAT,
+            "members": {member: change.relations
+                        for member, change in changes.items()},
+        }
+        exact = sorted(member for member, change in changes.items()
+                       if change.exact)
+        if exact:
+            record["exact"] = exact
         with self._lock:
-            update_id = self._next_update
-            self._append({
-                "type": INTENT,
-                "update": update_id,
-                "origin": origin,
-                "members": desired,
-            })
+            update_id = record["update"] = self._next_update
+            self._append(record)
         return update_id
 
     def record_member(self, update_id, member, outcome, via="flush"):
@@ -422,8 +456,8 @@ class UpdateJournal:
         first — exactly what ``Federation.recover`` must replay."""
         with self._lock:
             return [
-                PendingUpdate(s.update_id, s.seq, s.desired, s.applied,
-                              s.failed, s.origin)
+                PendingUpdate(s.update_id, s.seq, s.desired, s.exact,
+                              s.applied, s.failed, s.origin)
                 for update_id in self._order
                 for s in (self._states[update_id],)
                 if s.status == PENDING
@@ -444,7 +478,7 @@ class UpdateJournal:
     def resolve_member(self, member, via="resync"):
         """Mark ``member`` applied in every pending update that still
         owes it (a successful push-resync delivered the member's full
-        current state, which subsumes every journaled desired state),
+        current state, which subsumes every journaled change set),
         committing updates this completes. Returns the touched ids."""
         touched = []
         with self._lock:
@@ -618,7 +652,7 @@ class NullJournal(UpdateJournal):
     def __init__(self, obs=None):
         super().__init__(obs=obs)
 
-    def begin(self, desired, origin="update"):
+    def begin(self, changes, origin="update"):
         with self._lock:
             update_id = self._next_update
             self._next_update += 1

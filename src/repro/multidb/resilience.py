@@ -314,8 +314,8 @@ class ResilientConnector:
     def scan(self):
         return self._run("scan", self.connector.scan)
 
-    def apply(self, desired):
-        return self._run("apply", lambda: self.connector.apply(desired))
+    def apply(self, changes):
+        return self._run("apply", lambda: self.connector.apply(changes))
 
     def ping(self):
         return self._run("ping", self.connector.ping)

@@ -21,6 +21,8 @@ _SCALAR_TYPES = (str, int, float, bool)
 OPERATORS = ("<", "<=", "=", "!=", ">", ">=")
 
 
+_new_atom = object.__new__
+
 # value_key tags by exact scalar type (subclasses take the slow path).
 _TAGS = {bool: "bool", int: "num", float: "num", str: "str",
          type(None): "NoneType"}
@@ -61,7 +63,17 @@ class Atom(IdlObject):
         return (ATOM, tag, value)
 
     def copy(self):
-        return Atom(self.value)
+        # The value was checked when this atom was made.
+        clone = _new_atom(Atom)
+        clone.value = self.value
+        return clone
+
+    def checkpoint(self):
+        """The current value, for :meth:`restore`."""
+        return self.value
+
+    def restore(self, checkpoint):
+        self.value = checkpoint
 
     def compare(self, op, other_value):
         """Evaluate ``self.value <op> other_value`` under IDL semantics.

@@ -115,18 +115,18 @@ class MergedSet(IdlObject):
         self._base = base
         self._overlay = overlay
 
+    def keyed(self):
+        """``(value_key, element)`` pairs of the union, base first. The
+        parts' own keys are reused (a set keys its elements by value),
+        so no element's key is recomputed."""
+        merged = dict(self._base.keyed())
+        for key, obj in self._overlay.keyed():
+            if key not in merged:
+                merged[key] = obj
+        return merged.items()
+
     def elements(self):
-        merged = []
-        seen = set()
-        for part in (self._base, self._overlay):
-            # Iterate the parts directly (no snapshot copies): this loop
-            # completes synchronously and mutates neither part.
-            for obj in part:
-                key = obj.value_key()
-                if key not in seen:
-                    seen.add(key)
-                    merged.append(obj)
-        return merged
+        return [obj for _, obj in self.keyed()]
 
     def __iter__(self):
         return iter(self.elements())

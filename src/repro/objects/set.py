@@ -120,6 +120,11 @@ class SetObject(IdlObject):
     def __len__(self):
         return len(self._elements)
 
+    def keyed(self):
+        """``(value_key, element)`` pairs in insertion order (a live
+        view, like ``__iter__``)."""
+        return self._elements.items()
+
     def contains_value(self, obj):
         """Value-based membership test."""
         return obj.value_key() in self._elements
@@ -198,29 +203,44 @@ class SetObject(IdlObject):
             self._version += 1
         self._elements.clear()
 
-    def refresh(self, obj):
-        """Re-index ``obj`` after in-place mutation of a member.
+    def refresh(self, obj, old_key=None):
+        """Re-key ``obj`` after in-place mutation of a member.
 
         Elements are keyed by value; callers that mutate a member *in
         place* (the update evaluator does, for tuple/atomic updates inside
         set expressions) must call this with the mutated element so the
-        index stays consistent and value-duplicates collapse.
+        index stays consistent and value-duplicates collapse. ``old_key``
+        is the element's ``value_key()`` from before the mutation: with
+        it the re-keying is O(1); without it the set is scanned for the
+        element by identity.
         """
-        stale_keys = [
-            key for key, element in self._elements.items() if element is obj
-        ]
-        for key in stale_keys:
-            del self._elements[key]
-        self._elements[obj.value_key()] = obj
+        elements = self._elements
+        if old_key is None:
+            for key in [key for key, element in elements.items()
+                        if element is obj]:
+                del elements[key]
+        elif elements.get(old_key) is obj:
+            del elements[old_key]
+        elements[obj.value_key()] = obj
+        self._version += 1
+
+    def checkpoint(self):
+        """The set's current membership, for :meth:`restore` (a shallow
+        copy: the elements themselves are shared, not copied)."""
+        return dict(self._elements)
+
+    def restore(self, checkpoint):
+        """Reinstate a :meth:`checkpoint` — same elements, same order —
+        and bump the version, so no index built since survives."""
+        self._elements = checkpoint
         self._version += 1
 
     def reindex(self):
         """Rebuild the whole value index (after bulk in-place mutation).
 
         Bumps the version — and therefore drops the attribute indexes —
-        only when the rebuilt mapping actually differs, so the engine's
-        defensive whole-universe reindex after an update does not evict
-        indexes on sets the update never touched.
+        only when the rebuilt mapping actually differs, so reindexing a
+        set whose keys are already consistent evicts nothing.
         """
         fresh = {}
         for obj in self._elements.values():

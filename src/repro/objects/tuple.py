@@ -80,6 +80,15 @@ class TupleObject(IdlObject):
     def remove_if_present(self, name):
         self._attrs.pop(name, None)
 
+    def checkpoint(self):
+        """The current attribute map, for :meth:`restore` (shallow: the
+        attribute objects are shared, not copied)."""
+        return dict(self._attrs)
+
+    def restore(self, checkpoint):
+        """Reinstate a :meth:`checkpoint`, attribute order included."""
+        self._attrs = checkpoint
+
     # -- value semantics --------------------------------------------------
 
     def value_key(self):

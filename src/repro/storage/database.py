@@ -169,20 +169,24 @@ class StorageDatabase:
             if rel_name not in desired:
                 self.drop_relation(rel_name)
         for rel_name, rows in desired.items():
-            if not self.has_relation(rel_name):
-                self.create_relation(rel_name, schema_factory(rows))
-            else:
-                schema = self.catalog.schema_of(rel_name)
-                incoming = {column for row in rows for column in row}
-                if not incoming <= set(schema.column_names()):
-                    self.drop_relation(rel_name)
-                    self.create_relation(rel_name, schema_factory(rows))
-                else:
-                    self.delete(rel_name)
-            if self.has_relation(rel_name) and len(self.relation(rel_name)):
-                self.delete(rel_name)
-            for row in rows:
-                self.insert(rel_name, row)
+            self.replace_relation(rel_name, rows, schema_factory)
+
+    def replace_relation(self, relation_name, rows, schema_factory):
+        """Make one relation hold exactly ``rows``: created with
+        ``schema_factory(rows)`` when missing, recreated when ``rows``
+        carry columns its stored schema lacks. Not atomic by itself —
+        call it inside a transaction."""
+        if self.has_relation(relation_name):
+            schema = self.catalog.schema_of(relation_name)
+            incoming = {column for row in rows for column in row}
+            if not incoming <= set(schema.column_names()):
+                self.drop_relation(relation_name)
+        if not self.has_relation(relation_name):
+            self.create_relation(relation_name, schema_factory(rows))
+        elif len(self.relation(relation_name)):
+            self.delete(relation_name)
+        for row in rows:
+            self.insert(relation_name, row)
 
     def lookup(self, relation_name, **equalities):
         return self.relation(relation_name).lookup(**equalities)

@@ -202,3 +202,49 @@ class TestHealthyEquivalence:
         federation = self.build("off")
         result = federation.insert_quote("nova", "9/9/99", 7.0)
         assert result.trace.find("scatter-gather") is None
+
+
+def test_in_memory_connector_scans_never_see_half_an_apply():
+    """Change sets are applied in place under the connector's lock: a
+    concurrent (e.g. hedged) scan sees a whole apply or none of it."""
+    import sys
+    import threading
+
+    from repro.multidb import ChangeSet
+
+    low = [{"x": i} for i in range(50)]
+    high = [{"x": i + 1000} for i in range(50)]
+    up = ChangeSet({"r": {"del": low, "ins": high}})
+    down = ChangeSet({"r": {"del": high, "ins": low}})
+    connector = InMemoryConnector({"r": low})
+    torn = []
+    stop = threading.Event()
+
+    def scanner():
+        while not stop.is_set():
+            rows = connector.scan()["r"]
+            lows = sum(1 for row in rows if row["x"] < 1000)
+            if len(rows) != 50 or lows not in (0, 50):
+                torn.append((len(rows), lows))
+
+    def applier():
+        for index in range(300):
+            connector.apply(up if index % 2 == 0 else down)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        scanners = [threading.Thread(target=scanner) for _ in range(4)]
+        writer = threading.Thread(target=applier)
+        for thread in scanners + [writer]:
+            thread.start()
+        writer.join(timeout=60)
+        stop.set()
+        for thread in scanners:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not writer.is_alive()
+    assert not any(thread.is_alive() for thread in scanners)
+    assert torn == []
+    assert connector.scan() == {"r": low}

@@ -19,6 +19,7 @@ from repro.errors import (
     UpdateError,
 )
 from repro.multidb import (
+    ChangeSet,
     Federation,
     FaultyConnector,
     InMemoryConnector,
@@ -472,16 +473,26 @@ class TestFlushFailureAndResync:
         federation, flaky, _ = self.setup_attached_flaky(
             workload, torn_writes=True
         )
+        pre = flaky.inner.scan()["r"]
+        date = pre[0]["date"]
         flaky.set_outage(True)
+        # A new stock on an existing date: chwab's change set is two row
+        # operations (the date's row out, the row with a nova column in).
         with pytest.raises(MemberUnavailableError):
-            federation.insert_quote("nova", "9/9/99", 3.0)
-        # The member took a torn (truncated) write.
+            federation.insert_quote("nova", date, 3.0)
+        # The member took a torn write, removals first: the date's row
+        # is gone and its replacement never landed — neither the pre-
+        # nor the post-state.
         torn_rows = flaky.inner.scan()["r"]
-        assert len(torn_rows) < workload.n_days
+        assert len(torn_rows) == workload.n_days - 1
+        assert all(row["date"] != date for row in torn_rows)
+        assert torn_rows == pre[1:]
         flaky.restore()
         assert federation.probe("chwab") is True
         repaired = flaky.inner.scan()["r"]
-        assert len(repaired) == workload.n_days + 1  # the new 9/9/99 row
+        assert len(repaired) == workload.n_days
+        assert [row.get("nova") for row in repaired
+                if row["date"] == date] == [3.0]
 
 
 class TestStorageConnectorAtomicApply:
@@ -644,6 +655,66 @@ class TestResyncDirections:
         rows = flaky.inner.scan()["r"]
         (quote_row,) = [row for row in rows if row.get("date") == "9/9/99"]
         assert quote_row.get("nova") == 3.0 and quote_row.get("zeta") == 4.0
+
+
+class TestChangeSetApply:
+    """``apply`` takes a change set: deletes match by full row value,
+    inserts skip rows already present, so every apply is idempotent —
+    also after a torn prefix of it landed."""
+
+    CHANGES = ChangeSet({
+        "r": {"del": [{"x": 1}], "ins": [{"x": 3}]},
+        "s": {"del": [{"y": 1}], "ins": [{"y": 2}]},
+    })
+
+    def test_torn_apply_lands_a_strict_prefix_removals_first(self):
+        inner = InMemoryConnector({"r": [{"x": 1}, {"x": 2}],
+                                   "s": [{"y": 1}]})
+        faulty = FaultyConnector(inner, torn_writes=True).fail_next(1)
+        with pytest.raises(MemberUnavailableError):
+            faulty.apply(self.CHANGES)
+        # Half of the four row operations: both deletes, no insert.
+        assert inner.scan() == {"r": [{"x": 2}], "s": []}
+        faulty.apply(self.CHANGES)
+        assert inner.scan() == {"r": [{"x": 2}, {"x": 3}], "s": [{"y": 2}]}
+        faulty.apply(self.CHANGES)  # again: nothing changes
+        assert inner.scan() == {"r": [{"x": 2}, {"x": 3}], "s": [{"y": 2}]}
+
+    def test_rows_match_under_idl_value_equality(self):
+        inner = InMemoryConnector({"r": [{"x": 1}, {"x": True}]})
+        inner.apply(ChangeSet({"r": {"del": [{"x": 1.0}],
+                                     "ins": [{"x": True}]}}))
+        assert inner.scan() == {"r": [{"x": True}]}
+
+    def test_put_and_drop(self):
+        inner = InMemoryConnector({"r": [{"x": 1}], "s": [{"y": 1}]})
+        inner.apply(ChangeSet({"r": {"put": [{"x": 5}]}, "s": {"drop": True},
+                               "t": {"put": [{"z": 0}]}}))
+        assert inner.scan() == {"r": [{"x": 5}], "t": [{"z": 0}]}
+
+    def test_plain_state_is_the_exact_replace(self):
+        inner = InMemoryConnector({"r": [{"x": 1}], "s": [{"y": 1}]})
+        inner.apply({"r": [{"x": 2}]})
+        assert inner.scan() == {"r": [{"x": 2}]}
+        assert ChangeSet.coerce({"r": []}).exact
+
+    def test_storage_connector_applies_the_same_change_set(self):
+        storage = StorageDatabase("m")
+        storage.create_relation("r", [("x", "int")])
+        storage.insert_many("r", [{"x": 1}, {"x": 2}])
+        storage.create_relation("s", [("y", "int")])
+        storage.insert("s", {"y": 1})
+        connector = StorageConnector(storage)
+        connector.apply(self.CHANGES)
+        connector.apply(self.CHANGES)
+        assert sorted(row["x"] for row in storage.scan("r")) == [2, 3]
+        assert storage.scan("s") == [{"y": 2}]
+        # A new column rebuilds the relation with a widened schema.
+        connector.apply(ChangeSet({"r": {"ins": [{"x": 4, "w": "a"}]}}))
+        assert {"x": 4, "w": "a"} in storage.scan("r")
+        assert {"x": 2, "w": None} in storage.scan("r")
+        connector.apply(ChangeSet({"s": {"drop": True}}))
+        assert storage.relation_names() == ["r"]
 
 
 class TestFaultyConnectorDeterminism:

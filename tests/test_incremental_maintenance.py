@@ -141,21 +141,31 @@ class TestDeltaCapture:
         _, _, symbolic = result.delta.fold()
         assert symbolic == {("a", "r")}  # unknown delta: fall back
 
-    def test_no_capture_without_materialization(self):
+    def test_capture_without_materialization(self):
+        # Every update captures its delta, store or not: the federation
+        # stages its member changes from it.
         engine = IdlEngine()
         engine.add_database("a", {"r": [{"x": 1}]})
         engine.define(".v.p(.x=X) <- .a.r(.x=X)")
-        # No materialized view yet: capture would be wasted work.
         result = engine.update("?.a.r+(.x=2)")
-        assert result.delta is None
+        inserts, deletes, symbolic = result.delta.fold()
+        assert [e.to_python() for e in inserts[("a", "r")].values()] == [
+            {"x": 2}]
+        assert deletes == {} and symbolic == set()
+        assert engine.query("?.v.p(.x=X)") == [{"X": 1}, {"X": 2}]
 
-    def test_no_capture_when_disabled(self):
+    def test_capture_when_maintenance_disabled(self):
+        # maintain=False still captures the delta but never repairs with
+        # it: the dirty stratum leaves the store and is rebuilt.
         engine = IdlEngine(maintain=False)
         engine.add_database("a", {"r": [{"x": 1}]})
         engine.define(".v.p(.x=X) <- .a.r(.x=X)")
         engine.materialized_view()
-        assert engine.update("?.a.r+(.x=2)").delta is None
-
+        result = engine.update("?.a.r+(.x=2)")
+        assert result.delta.changed
+        assert engine._store == {}
+        assert engine.query("?.v.p(.x=X)") == [{"X": 1}, {"X": 2}]
+        assert engine.fixpoint_stats.maintained_strata == 0
 
 TC = (
     ".g.tc(.a=X, .b=Y) <- .g.edge(.a=X, .b=Y)",

@@ -432,3 +432,83 @@ class TestResolvedUpdatesDropRows:
         rows = faulty["euter"].scan()["r"]
         assert any(row["stkCode"] == "nova" and row["date"] == "9/2/99"
                    for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# Change-set intents and the pre-change-set format
+# ---------------------------------------------------------------------------
+
+
+class TestChangeSetIntents:
+    """Intents carry per-member change sets; an intent written in the
+    older full-state format still decodes and recovers, as the exact
+    replace it always meant."""
+
+    def build(self, rows, journal=None):
+        federation = Federation.from_config(FederationConfig(
+            journal=journal if journal is not None else InMemoryJournal()))
+        federation.add_member(
+            "euter", "euter", connector=InMemoryConnector({"r": rows}),
+            policy=ResiliencePolicy(max_attempts=1, jitter=0.0),
+            clock=FakeClock(),
+        )
+        federation.install()
+        return federation
+
+    def test_intent_records_only_the_changed_rows(self):
+        workload = StockWorkload(n_stocks=3, n_days=4, seed=2)
+        rows = workload.relations_for("euter")["r"]
+        federation = self.build(rows)
+        update_id = federation.insert_quote("nova", "9/9/99", 3.0).update_id
+        (intent,) = [r for r in federation.journal.records()
+                     if r["type"] == "intent" and r["update"] == update_id]
+        assert intent["format"] == "changes"
+        assert intent["members"] == {"euter": {"r": {"ins": [
+            {"date": "9/9/99", "stkCode": "nova", "clsPrice": 3.0}]}}}
+        assert "exact" not in intent
+
+    def test_old_full_state_intent_recovers_as_exact_replace(self, tmp_path):
+        workload = StockWorkload(n_stocks=3, n_days=4, seed=2)
+        rows = workload.relations_for("euter")["r"]
+        desired = rows[1:] + [
+            {"date": "9/9/99", "stkCode": "nova", "clsPrice": 3.0}]
+        # A journal line as written before change sets existed: no
+        # format marker, the member's full post-state as {rel: rows}.
+        path = tmp_path / "old.wal"
+        path.write_text(encode_record({
+            "type": "intent", "update": 1, "origin": "update", "seq": 1,
+            "members": {"euter": {"r": desired, "gone": []}},
+        }) + "\n", encoding="utf-8")
+        journal = FileJournal(path, fsync=False)
+        (update,) = journal.pending()
+        changes = update.changes("euter")
+        assert changes.exact
+        assert changes.relations == {"r": {"put": desired},
+                                     "gone": {"put": []}}
+
+        federation = self.build(rows)
+        replayed = federation.recover(journal=journal)
+        assert replayed == {1: ["euter"]}
+        assert journal.is_committed(1)
+        held = federation.connectors["euter"].connector.scan()
+        assert sorted(held) == ["gone", "r"]
+        def canon(rows):
+            return sorted(json.dumps(row, sort_keys=True) for row in rows)
+
+        assert canon(held["r"]) == canon(desired)
+        # The universe was re-scanned from the rolled-forward member.
+        quotes = set(federation.unified_quotes())
+        assert ("9/9/99", "nova", 3.0) in quotes
+        first = rows[0]
+        assert (first["date"], first["stkCode"], first["clsPrice"]) \
+            not in quotes
+        journal.close()
+
+    def test_plain_full_state_begin_is_journaled_exact(self):
+        journal = InMemoryJournal()
+        journal.begin({"alpha": {"r": [{"x": 1}]}})
+        (intent,) = journal.records()
+        assert intent["exact"] == ["alpha"]
+        assert intent["members"] == {"alpha": {"r": {"put": [{"x": 1}]}}}
+        (update,) = journal.reopen().pending()
+        assert update.changes("alpha").exact

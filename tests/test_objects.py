@@ -155,6 +155,46 @@ class TestSetObject:
         s.refresh(second)
         assert len(s) == 1
 
+    def test_refresh_with_old_key_never_scans(self):
+        class NoScan(dict):
+            def items(self):
+                raise AssertionError("refresh scanned the set")
+
+        elements = [TupleObject([("a", Atom(i))]) for i in range(50)]
+        s = SetObject(elements)
+        s._elements = NoScan(s._elements)
+        target = elements[20]
+        old_key = target.value_key()
+        target.set("a", Atom(99))
+        version = s.version
+        s.refresh(target, old_key)
+        assert s.version == version + 1
+        assert s.contains_value(from_python({"a": 99}))
+        assert not s.contains_value(from_python({"a": 20}))
+        assert len(s) == 50
+
+    def test_refresh_with_old_key_collapses_duplicates(self):
+        first = TupleObject([("a", Atom(1))])
+        second = TupleObject([("a", Atom(2))])
+        s = SetObject([first, second])
+        old_key = second.value_key()
+        second.set("a", Atom(1))
+        s.refresh(second, old_key)
+        assert len(s) == 1
+        assert s.contains_value(from_python({"a": 1}))
+
+    def test_checkpoint_restore_is_identity_exact(self):
+        kept = [TupleObject([("a", Atom(i))]) for i in range(3)]
+        s = SetObject(kept)
+        saved = s.checkpoint()
+        s.discard_value(kept[1])
+        s.add(TupleObject([("a", Atom(9))]))
+        version = s.version
+        s.restore(saved)
+        assert s.version > version
+        assert s.elements() == kept
+        assert all(a is b for a, b in zip(s.elements(), kept))
+
     def test_varying_arity_tuples_coexist(self):
         s = SetObject([from_python({"a": 1}), from_python({"a": 1, "b": 2})])
         assert len(s) == 2

@@ -61,6 +61,73 @@ class TestBuildObject:
             self.ground(".a>1")
 
 
+class TestConstructorCopiesBoundObjects:
+    """A constructor copies what its variables are bound to: an element
+    built from a universe atom must not share that atom."""
+
+    def test_inserted_value_survives_an_update_of_its_source(self):
+        from repro import IdlEngine
+
+        engine = IdlEngine()
+        engine.add_database("a", {"r": [{"x": 1}]})
+        engine.add_database("b", {"s": []})
+        engine.update("?.a.r(.x=X), .b.s+(.x=X)")
+        engine.update("?.a.r(.x-=1)")
+        target = engine.universe.relation("b", "s")
+        assert to_python(target) == [{"x": 1}]
+        assert engine.query("?.b.s(.x=X)") == [{"X": 1}]
+        assert engine.query("?.a.r(.x=X)") == []
+        # The set's keys still match its elements' values.
+        version = target.version
+        target.reindex()
+        assert target.version == version
+
+    def test_bound_atom_is_copied(self):
+        bound = Atom(7)
+        built = build_object(parse_expression("?.v=V").conjuncts[0],
+                             Substitution.of({"V": bound}))
+        assert to_python(built) == {"v": 7}
+        assert built.get("v") is not bound
+
+
+class TestInPlaceRekeying:
+    """An element mutated in place is re-keyed in its set right away,
+    from its pre-mutation key — no universe-wide reindex afterwards."""
+
+    def test_bulk_in_place_update_rekeys_every_element(self):
+        from repro import IdlEngine
+
+        rows = [{"date": f"d{i}", "stkCode": "hp", "clsPrice": float(i)}
+                for i in range(40)]
+        engine = IdlEngine()
+        engine.add_database("euter", {"r": rows})
+        # Build an index on the attribute the update rewrites.
+        assert len(engine.query("?.euter.r(.clsPrice=3)")) == 1
+        result = engine.update("?.euter.r(.clsPrice+=1)")
+        assert result.modified == len(rows)
+        relation = engine.universe.relation("euter", "r")
+        assert len(relation) == len(rows)
+        assert len(engine.query("?.euter.r(.clsPrice=1, .date=D)")) == 40
+        assert engine.query("?.euter.r(.clsPrice=3)") == []
+        assert all(key == element.value_key()
+                   for key, element in relation._elements.items())
+        version = relation.version
+        relation.reindex()
+        assert relation.version == version
+
+    def test_in_place_update_collapsing_two_elements(self):
+        from repro import IdlEngine
+
+        engine = IdlEngine()
+        engine.add_database("a", {"r": [{"k": 1, "v": 1}, {"k": 1, "v": 2}]})
+        engine.update("?.a.r(.v+=0)")
+        relation = engine.universe.relation("a", "r")
+        assert to_python(relation) == [{"k": 1, "v": 0}]
+        version = relation.version
+        relation.reindex()
+        assert relation.version == version
+
+
 class TestNestedUpdates:
     def test_update_inside_nested_set(self):
         universe = Universe.from_python(
