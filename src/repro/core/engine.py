@@ -383,6 +383,11 @@ class IdlEngine:
                 changed_patterns.extend(rule.target for rule in stratum)
                 view_base = MergedTuple(view_base, overlay)
             fallbacks = len(fallen)
+            # The held strata this update left untouched (what a
+            # selective re-materialization would have reused).
+            stats.reused_strata = sum(
+                dirty_ids.isdisjoint(key) for key in self._store
+            )
             stats.maintain_seeded += seeded
             stats.maintain_fallbacks += fallbacks
             span.set("strata", len(self._store))
@@ -668,7 +673,8 @@ class IdlEngine:
                 result = executor.execute_request(statement, params or None,
                                                   uctx=uctx)
                 if len(self.constraints):
-                    self.constraints.enforce(self.universe)
+                    self.constraints.enforce(self.universe,
+                                             touched=result.touched)
                 if guard is not None:
                     guard(result)
             except IdlError:

@@ -19,8 +19,9 @@ ConstraintSet renders to relations, so IDL programs can query which
 keys exist — the same reflective move the paper makes for names.
 
 ``IdlEngine`` integration: declare through ``engine.declare_key`` /
-``engine.declare_type``; every atomic update validates the post-state
-and rolls back with :class:`IntegrityError` on violation.
+``engine.declare_type``; every atomic update validates the relations
+it touched in the post-state and rolls back with :class:`IntegrityError`
+on violation (a declaration validates the whole current state).
 """
 
 from __future__ import annotations
@@ -189,14 +190,21 @@ class ConstraintSet:
     def __len__(self):
         return len(self.keys) + len(self.types)
 
-    def validate(self, universe):
-        """All violations across the universe (empty list if consistent)."""
+    def validate(self, universe, touched=None):
+        """All violations (empty list if consistent): across the
+        universe, or only in the relations under the ``touched`` path
+        prefixes — ``(db, rel)`` names one relation, ``(db,)`` a whole
+        database and ``()`` the whole universe."""
         violations = []
+        everything = touched is None or () in touched
         for db in universe.attr_names():
             database = universe.get(db)
             if not database.is_tuple:
                 continue
             for rel in database.attr_names():
+                if not (everything or (db,) in touched
+                        or (db, rel) in touched):
+                    continue
                 relation = database.get(rel)
                 if not relation.is_set:
                     continue
@@ -208,9 +216,11 @@ class ConstraintSet:
                         violations.extend(constraint.check(db, rel, relation))
         return violations
 
-    def enforce(self, universe):
-        """Raise :class:`IntegrityError` listing all violations, if any."""
-        violations = self.validate(universe)
+    def enforce(self, universe, touched=None):
+        """Raise :class:`IntegrityError` listing all violations, if any
+        (in the relations under ``touched``, when given — see
+        :meth:`validate`)."""
+        violations = self.validate(universe, touched)
         if violations:
             summary = "; ".join(
                 f"{v.kind} at {v.db}.{v.rel} ({v.detail})" for v in violations[:5]

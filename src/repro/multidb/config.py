@@ -63,7 +63,7 @@ class FederationConfig:
     Concurrency (see ``docs/concurrency.md``):
 
     * ``parallel`` — ``"on"``/``"off"``: scatter-gather member I/O vs
-      the deterministic serial fallback;
+      the deterministic serial path (same failure contract);
     * ``max_workers`` — worker-pool bound (``None`` =
       ``min(8, members)``);
     * ``hedge_after`` — wall seconds after which a straggling

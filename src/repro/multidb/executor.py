@@ -17,10 +17,11 @@ retry/breaker machinery). What the executor adds:
 * **Bounded concurrency** — a lazily created
   :class:`~concurrent.futures.ThreadPoolExecutor` with
   ``max_workers = min(8, tasks)`` by default, reused across calls;
-* **A deterministic serial fallback** — ``parallel="off"`` (or a
-  single task) runs every task inline on the calling thread in task
-  order, with no extra threads, no extra spans, and the exact
-  exception-propagation behavior of the historical ``for`` loops;
+* **A deterministic serial reference path** — ``parallel="off"`` (or
+  a single task) runs every task inline on the calling thread in task
+  order, with no extra threads and no extra spans, under the same
+  failure contract as the parallel path: every task runs and each
+  ordinary failure lands in its outcome;
 * **Wall-clock deadlines** — a task with a ``deadline`` is abandoned
   (its outcome is a :class:`~repro.errors.DeadlineExceededError`,
   ``timed_out=True``) once that many real seconds elapse from scatter
@@ -92,34 +93,30 @@ class MemberOutcome:
     Exactly one of ``value`` / ``error`` is meaningful (``error`` may
     be a ``BaseException`` — see :meth:`MemberExecutor.map` for how
     fatal errors re-raise). ``latency`` is the worker-measured wall
-    seconds of the winning attempt (``None`` when the task was skipped
-    or abandoned before any attempt finished). ``skipped`` marks tasks
-    a serial ``fail_fast`` run never started; ``timed_out`` marks
+    seconds of the winning attempt (``None`` when the task was
+    abandoned before any attempt finished). ``timed_out`` marks
     deadline abandonment; ``hedged`` marks outcomes whose task got a
     second worker (whichever attempt won).
     """
 
     __slots__ = ("name", "value", "error", "latency", "hedged",
-                 "timed_out", "skipped")
+                 "timed_out")
 
     def __init__(self, name, value=None, error=None, latency=None,
-                 hedged=False, timed_out=False, skipped=False):
+                 hedged=False, timed_out=False):
         self.name = name
         self.value = value
         self.error = error
         self.latency = latency
         self.hedged = hedged
         self.timed_out = timed_out
-        self.skipped = skipped
 
     @property
     def ok(self):
-        return self.error is None and not self.skipped
+        return self.error is None
 
     def __repr__(self):
-        state = ("ok" if self.ok else
-                 "skipped" if self.skipped else
-                 f"error={type(self.error).__name__}")
+        state = "ok" if self.ok else f"error={type(self.error).__name__}"
         return f"MemberOutcome({self.name!r}, {state})"
 
 
@@ -137,7 +134,8 @@ class MemberExecutor:
     """Scatter-gather over a reusable bounded worker pool.
 
     ``parallel`` is ``"on"`` or ``"off"``; off (and any single-task
-    call) degrades to a deterministic inline loop. ``max_workers``
+    call) runs a deterministic inline loop with the same failure
+    contract. ``max_workers``
     overrides the ``min(8, tasks)`` default pool size. ``hedge_after``
     (wall seconds) arms hedging for tasks that opt in; ``None``
     disables it. ``obs`` is the federation's
@@ -169,27 +167,23 @@ class MemberExecutor:
 
     # -- the public surface ---------------------------------------------
 
-    def map(self, tasks, label="scatter", fail_fast=False):
+    def map(self, tasks, label="scatter"):
         """Run every task; return a :class:`MemberOutcome` list in task
         order.
 
-        Ordinary ``Exception`` failures are *captured* in the outcomes
-        — the caller decides what a failure means. A ``BaseException``
-        (e.g. an injected :class:`~repro.multidb.journal.CrashPoint`)
-        is fatal: serially it propagates immediately, exactly like the
-        historical inline loops; in parallel every outcome is gathered
-        first, then the first fatal error in task order re-raises.
-
-        ``fail_fast`` only affects the serial path: the first failing
-        task stops the loop and the remaining tasks come back
-        ``skipped`` (the legacy flush contract). In parallel mode every
-        task has already been submitted, so all of them run.
+        Ordinary ``Exception`` failures are *captured* in the outcomes,
+        serially and in parallel alike — every task runs, and the
+        caller decides what a failure means. A ``BaseException`` (e.g.
+        an injected :class:`~repro.multidb.journal.CrashPoint`) is
+        fatal: serially it propagates immediately; in parallel every
+        outcome is gathered first, then the first fatal error in task
+        order re-raises.
         """
         tasks = list(tasks)
         if not tasks:
             return []
         if self.parallel == "off" or len(tasks) == 1:
-            return self._serial(tasks, fail_fast)
+            return self._serial(tasks)
         return self._scatter(tasks, label)
 
     def shutdown(self):
@@ -200,12 +194,12 @@ class MemberExecutor:
                 self._pool = None
                 self._pool_size = 0
 
-    # -- serial fallback -------------------------------------------------
+    # -- serial reference path -------------------------------------------
 
-    def _serial(self, tasks, fail_fast):
+    def _serial(self, tasks):
         metrics = self.obs.metrics if self.obs is not None else None
         outcomes = []
-        for index, task in enumerate(tasks):
+        for task in tasks:
             started = time.perf_counter()
             try:
                 value = task.fn()
@@ -215,12 +209,6 @@ class MemberExecutor:
                 self._observe_slo(task.name, latency, ok=False)
                 outcomes.append(MemberOutcome(task.name, error=exc,
                                               latency=latency))
-                if fail_fast:
-                    outcomes.extend(
-                        MemberOutcome(rest.name, skipped=True)
-                        for rest in tasks[index + 1:]
-                    )
-                    return outcomes
             else:
                 latency = time.perf_counter() - started
                 self._observe_latency(metrics, task.name, latency)

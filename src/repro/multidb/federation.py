@@ -226,7 +226,8 @@ class Federation:
         # docs/concurrency.md): every multi-member path — install
         # prefetch, probe sweeps, recovery replay, the two-phase flush
         # fan-out — runs through this executor; parallel="off" (or a
-        # single member) degrades to the deterministic serial loops.
+        # single member) runs the same tasks inline, in member order,
+        # under the same failure contract.
         self.executor = MemberExecutor(
             parallel=config.parallel,
             max_workers=config.max_workers,
@@ -533,8 +534,9 @@ class Federation:
         self._ensure_control_db()
         catalog = Catalog.from_universe(self.engine.universe)
         # Scatter the deferred members' scans up front (hedged, like
-        # install's prefetch); unreachable members keep the historical
-        # None marker so install's attach still rescans them once.
+        # install's prefetch): afterwards every deferred member is in
+        # _prefetched, unreachable ones with a None marker so install's
+        # attach still rescans them once.
         self._prefetch_scans(
             [name for name in self.member_order
              if name not in self._attached and name not in self._prefetched],
@@ -545,11 +547,6 @@ class Federation:
             style = self.members[name]
             relations = None
             if name not in self._attached:
-                if name not in self._prefetched:
-                    try:
-                        self._prefetched[name] = self.connectors[name].scan()
-                    except MemberUnavailableError:
-                        self._prefetched[name] = None
                 relations = self._prefetched[name]
                 if relations is None:
                     catalog.mark_opaque(name)
@@ -628,8 +625,6 @@ class Federation:
             for name in names
         ]
         for outcome in self.executor.map(tasks, label="prefetch"):
-            if outcome.skipped:
-                continue
             if outcome.error is None:
                 self._prefetched[outcome.name] = outcome.value
             elif isinstance(outcome.error, MemberUnavailableError):
@@ -668,41 +663,29 @@ class Federation:
                 maintenance_programs({name: style}, self.control_db)
             )
             self._wired.add(name)
-        if self._recovered:
-            # Post-recovery, the journal outranks the member's own state:
-            # a member that was unreachable during recover() and owes
-            # pending updates is rolled forward now, not left at the
-            # (pre-update) state the attach scan just pulled.
-            self._replay_pending_member(name)
+        # A member that was unreachable during recover() and owes
+        # pending updates is rolled forward now, not left at the
+        # (pre-update) state the attach scan just pulled.
+        self._roll_forward(name)
         return self
 
-    def _replay_pending_member(self, name):
-        """Roll one just-recovered member forward through every pending
-        journaled update it still owes (oldest first), then re-scan it
-        into the universe."""
-        pending = [
-            update for update in self.journal.pending()
-            if name in update.remaining
-        ]
-        if not pending:
+    def _roll_forward(self, name):
+        """Replay, oldest first, every pending journaled update member
+        ``name`` still owes (see :meth:`_replay_update`); the first
+        failed replay stops the walk and leaves the member stale
+        (pull). A no-op until :meth:`recover` has run — before that,
+        the pending updates are recovery's to judge (it alone aborts
+        superseded ones)."""
+        if not self._recovered:
+            return
+        owed = [update for update in self.journal.pending()
+                if name in update.remaining]
+        if not owed:
             return
         with self.obs.span("federation.replay", member=name) as span:
-            for update in pending:
-                self._crash_point("connector.apply")
-                self.connectors[name].apply(update.changes(name))
-                self.journal.record_member(update.update_id, name, "applied",
-                                           via="recover")
-                span.event("replay", update_id=update.update_id, member=name)
-                if not [m for m in update.desired if m not in
-                        self.journal.applied_members(update.update_id)]:
-                    self.journal.commit(update.update_id)
-                    span.event("commit", update_id=update.update_id)
-            try:
-                self._install_snapshot(name, self.connectors[name].scan())
-            except MemberUnavailableError:
-                # Rolled forward, but the universe still holds the
-                # attach scan: the member is ahead of it.
-                self._stale[name] = "pull"
+            for update in owed:
+                if not self._replay_update(update, [name], span):
+                    break
 
     def _install_snapshot(self, name, relations):
         """Replace the universe's copy of member ``name``."""
@@ -729,19 +712,20 @@ class Federation:
         """
         if name not in self.members:
             raise FederationError(f"no member named {name!r}")
-        if not self.connectors[name].probe():
-            return False
-        if name in self.quarantined:
-            try:
+        return self.connectors[name].probe() and self._restore(name)
+
+    def _restore(self, name):
+        """Bring a member that just probed healthy back into service:
+        re-attach it if quarantined, resync it if stale. True only when
+        it ends neither quarantined nor stale."""
+        try:
+            if name in self.quarantined:
                 self._attach(name)
-            except MemberUnavailableError:
-                return False
-        elif name in self._stale:
-            try:
+            elif name in self._stale:
                 self.resync(name)
-            except MemberUnavailableError:
-                return False
-        return True
+        except MemberUnavailableError:
+            return False
+        return name not in self.quarantined and name not in self._stale
 
     def probe_all(self):
         """Probe every member concurrently; returns ``{name: healthy}``.
@@ -774,40 +758,33 @@ class Federation:
                 for outcome in outcomes
             }
             for name in order:
-                if not healthy[name]:
-                    continue
-                if name in self.quarantined:
-                    try:
-                        self._attach(name)
-                    except MemberUnavailableError:
-                        healthy[name] = False
-                elif name in self._stale:
-                    try:
-                        self.resync(name)
-                    except MemberUnavailableError:
-                        healthy[name] = False
+                if healthy[name]:
+                    healthy[name] = self._restore(name)
         return healthy
 
     def resync(self, name):
         """Repair a stale member.
 
-        Direction depends on how it went stale: a failed flush is
-        re-*pushed* (the universe is ahead of the member); a member that
-        recovered from an outage is re-*pulled* (the member is the
-        authority on its own data). A successful push also settles the
-        member's share of every pending journaled update — the pushed
-        state subsumes each journaled change set — committing
-        updates it completes.
+        Direction depends on how it went stale. Only a failed flush is
+        re-*pushed* — there the universe really is ahead of the member —
+        and a successful push also settles the member's share of every
+        pending journaled update (the pushed state subsumes each
+        journaled change set), committing updates it completes. Every
+        other stale member is re-*pulled*: re-scanned (the member is
+        the authority on its own data), then rolled forward through
+        the journaled change sets it still owes; a replay that fails
+        leaves it stale (pull) again.
         """
-        direction = self._stale.get(name, "pull")
-        if direction == "push":
+        if self._stale.get(name) == "push":
             self.connectors[name].apply(ChangeSet.replace_all(
                 universe_rows(self.engine.universe, name)
             ))
             self.journal.resolve_member(name, via="resync")
+            self._stale.pop(name)
         else:
             self._install_snapshot(name, self.connectors[name].scan())
-        self._stale.pop(name, None)
+            self._stale.pop(name, None)
+            self._roll_forward(name)
         return self
 
     # -- crash recovery ---------------------------------------------------------
@@ -820,12 +797,15 @@ class Federation:
         journaled change set — idempotent, so re-applying it is
         harmless and a second :meth:`recover` is a no-op — and then
         re-scanned into the universe. Members journaled applied are not
-        touched. A member that cannot be
-        reached stays quarantined/stale exactly as a failed flush
-        leaves it (its share replays on the next recover, probe or
-        resync). A pending update older than a later *committed* one is
-        anomalous — replaying it would roll members backwards — and is
-        aborted as superseded.
+        touched. A member whose replay fails is never overwritten with
+        a state it did not see: a quarantined one stays quarantined
+        (its attach rolls it forward), any other is left stale (pull),
+        so the next probe or resync re-scans it and replays what it
+        still owes. Later updates skip a member whose replay failed, so
+        each member takes its updates in journal order. A pending
+        update older than a later *committed* one is anomalous —
+        replaying it would roll members backwards — and is aborted as
+        superseded.
 
         ``journal`` (optional) adopts a different journal first —
         typically a :class:`~repro.multidb.journal.FileJournal` reopened
@@ -846,6 +826,7 @@ class Federation:
             )
         journal = self.journal
         replayed = {}
+        blocked = set()  # members whose replay failed in this pass
         with self.obs.span("federation.recover") as root:
             root.set("truncated_tails", journal.truncated_tails)
             pending = journal.pending()
@@ -857,17 +838,24 @@ class Federation:
                     root.event("abort-superseded",
                                update_id=update.update_id)
                     continue
-                done = self._replay_update(update, root)
+                owed = [m for m in update.remaining if m not in blocked]
+                done = self._replay_update(update, owed, root)
+                blocked.update(m for m in owed if m not in done)
                 if done:
                     replayed[update.update_id] = done
             self._recovered = True
             root.set("replayed", sum(len(v) for v in replayed.values()))
         return replayed
 
-    def _replay_update(self, update, span):
-        """Roll every owed member of one pending update forward; commits
-        the update when nothing remains owed. Returns the members
-        replayed here.
+    def _replay_update(self, update, owed, span):
+        """Roll the ``owed`` members of one pending update forward by
+        their journaled change sets — the only code that replays the
+        journal into members; commits the update when nothing remains
+        owed. Returns the members replayed here.
+
+        A member whose replay fails is left stale (pull) unless it is
+        quarantined: the universe's copy of it may predate the update,
+        so pushing that copy would lose the update.
 
         Member applies fan out through the executor (each worker
         journals its ``applied`` record under the journal lock); the
@@ -876,28 +864,22 @@ class Federation:
         thread-safe.
         """
         done = []
-        owed = []
-        for member in update.remaining:
+        tasks = []
+        for member in owed:
             if member not in self.members:
                 span.event("skip-unknown-member",
                            update_id=update.update_id, member=member)
                 continue
-            owed.append(member)
-        tasks = [
-            MemberTask(member,
-                       self._make_replay_task(update, member),
-                       deadline=self._wall_deadline(member))
-            for member in owed
-        ]
+            tasks.append(MemberTask(member,
+                                    self._make_replay_task(update, member),
+                                    deadline=self._wall_deadline(member)))
         for outcome in self.executor.map(tasks, label="recover"):
             member = outcome.name
-            if outcome.skipped:
-                continue
             if outcome.error is not None:
                 if not isinstance(outcome.error, MemberUnavailableError):
                     raise outcome.error
                 if member not in self.quarantined:
-                    self._stale[member] = "push"
+                    self._stale[member] = "pull"
                 span.event("replay-failed", update_id=update.update_id,
                            member=member, error=str(outcome.error))
                 continue
@@ -1244,10 +1226,8 @@ class Federation:
             # The applies fan out through the executor (workers journal
             # their outcome under the journal lock as each lands); the
             # intent above and the commit below stay serial, so the
-            # protocol's write-ahead ordering is unchanged. Serially
-            # (parallel="off") this is exactly the historical loop: the
-            # first failure stops it and later members are never
-            # touched.
+            # protocol's write-ahead ordering is unchanged. Every staged
+            # member is attempted, serially or in parallel.
             tasks = [
                 MemberTask(
                     name,
@@ -1258,10 +1238,7 @@ class Federation:
                 for name, changes in staged.items()
             ]
             failure = None
-            for outcome in self.executor.map(tasks, label="flush",
-                                             fail_fast=True):
-                if outcome.skipped:
-                    continue
+            for outcome in self.executor.map(tasks, label="flush"):
                 if outcome.error is None:
                     outcomes[outcome.name] = outcome.value
                 else:
@@ -1269,10 +1246,9 @@ class Federation:
                     if failure is None:
                         failure = outcome.error
             if failure is not None:
-                # Members not yet reached (serial) or not applied
-                # (parallel) are owed their change set too: mark every
-                # non-applied member stale (push) so nothing serves a
-                # divergent snapshot as fresh.
+                # Every member that did not apply (failed, or abandoned
+                # at its deadline) is owed its change set: mark it stale
+                # (push) so nothing serves a divergent snapshot as fresh.
                 for other in staged:
                     if outcomes.get(other) != APPLIED:
                         self._stale.setdefault(other, "push")

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import MemberUnavailableError, StaleMemberError
 from repro.multidb import (
     CrashInjector,
     CrashPoint,
@@ -78,6 +79,39 @@ def canon(relations):
 
 def member_states(connectors):
     return {style: canon(connectors[style].scan()) for style in STYLES}
+
+
+def one_shot_policy():
+    """No retries: a single injected failure surfaces as a failed
+    operation instead of being retried away."""
+    return ResiliencePolicy(max_attempts=1, failure_threshold=100,
+                            jitter=0.0)
+
+
+def fail_next_apply(connector):
+    """Make ``connector``'s next ``apply`` raise
+    :class:`MemberUnavailableError`, once; later applies go through."""
+    def apply(changes):
+        del connector.apply
+        raise MemberUnavailableError("injected: replayed apply fails once")
+
+    connector.apply = apply
+
+
+def assert_commits_follow_applies(journal):
+    """No update commits before every member its intent names has
+    journaled an ``applied`` outcome."""
+    records = journal.records()
+    for commit in (r for r in records if r["type"] == "commit"):
+        (intent,) = [r for r in records if r["type"] == "intent"
+                     and r["update"] == commit["update"]]
+        applied = {r["member"] for r in records
+                   if r["type"] == "member" and r["update"] == commit["update"]
+                   and r["outcome"] == "applied" and r["seq"] < commit["seq"]}
+        assert applied == set(intent["members"]), (
+            f"update {commit['update']} committed before "
+            f"{sorted(set(intent['members']) - applied)} applied it"
+        )
 
 
 def restart(connectors, buffer):
@@ -168,6 +202,41 @@ class TestCrashSchedules:
             assert restarted.recover() == {}
             assert member_states(connectors) == states
             assert restarted.journal.pending() == []
+
+    def test_every_crash_point_survives_failed_replays(self):
+        """A crash at every point, then a restart where each owed
+        member's first replayed apply fails: recover + probe sweeps
+        still converge, every member at the post-state once the update
+        commits (the pre-state if it never became durable), and no
+        member is ever pushed a state it did not see."""
+        pre, post = self.expected_states()
+        n_ops = len(self.count_crash_points())
+        for after in range(n_ops):
+            connectors = fresh_connectors(self.workload)
+            buffer = []
+            crash = CrashInjector().arm(after)
+            federation = build(connectors, InMemoryJournal(buffer=buffer),
+                               crash=crash)
+            with pytest.raises(CrashPoint):
+                federation.insert_quote("nova", "9/9/99", 7.0)
+            restarted = build(connectors, InMemoryJournal(buffer=buffer),
+                              policy=one_shot_policy(), clock=FakeClock())
+            for update in restarted.journal.pending():
+                for member in update.remaining:
+                    fail_next_apply(connectors[member])
+            for _ in range(3):
+                if not restarted.journal.pending():
+                    break
+                restarted.recover()
+                restarted.probe_all()
+            assert restarted.journal.pending() == []
+            committed = restarted.journal.status()["committed"]
+            assert member_states(connectors) == (post if committed else pre), (
+                f"wrong member state after a failed replay, crash at op "
+                f"{after}"
+            )
+            assert_commits_follow_applies(restarted.journal)
+            assert restarted.availability().complete
 
     def test_crash_after_intent_rolls_forward(self):
         """Once the intent is journaled, recovery must finish the
@@ -375,10 +444,8 @@ class TestRecoveryWithUnreachableMembers:
             "chwab": flaky,
             "ource": InMemoryConnector(self.workload.relations_for("ource")),
         }
-        policy = ResiliencePolicy(max_attempts=1, failure_threshold=100,
-                                  jitter=0.0)
         federation = build(connectors, InMemoryJournal(buffer=buffer),
-                           crash=crash, policy=policy, clock=clock)
+                           crash=crash, policy=one_shot_policy(), clock=clock)
         return federation, connectors, flaky
 
     def crash_mid_flush(self, buffer, crash_after=2):
@@ -392,14 +459,11 @@ class TestRecoveryWithUnreachableMembers:
     def test_unreachable_member_stays_owed_until_resync(self):
         buffer = []
         connectors, flaky = self.crash_mid_flush(buffer)
-        # Restart with the member down: recovery rolls the others
-        # forward and leaves the down member stale (push) and owed.
+        # Restart with the member down: install quarantines it, and
+        # recovery rolls the others forward and leaves it owed.
         flaky.set_outage(True)
-        clock = FakeClock()
-        policy = ResiliencePolicy(max_attempts=1, failure_threshold=100,
-                                  jitter=0.0)
         restarted = build(connectors, InMemoryJournal(buffer=buffer),
-                          policy=policy, clock=clock)
+                          policy=one_shot_policy(), clock=FakeClock())
         restarted.recover()
         assert restarted.availability().status_of("chwab") in (
             "stale", "quarantined"
@@ -445,6 +509,82 @@ class TestRecoveryWithUnreachableMembers:
         assert restarted.journal.pending() == []
         # The whole federation answers with the update everywhere.
         assert ("9/9/99", "nova", 7.0) in set(restarted.unified_quotes())
+
+    def test_failed_replay_in_recover_rolls_forward_on_probe(self):
+        """A member whose replayed apply fails during recover() is left
+        stale (pull), never pushed the universe's pre-update copy of
+        it: the next probe re-scans it and replays its change set, and
+        only then does the update commit."""
+        buffer = []
+        # Intent durable, no member applied yet.
+        connectors, flaky = self.crash_mid_flush(buffer, crash_after=1)
+        restarted = build(connectors, InMemoryJournal(buffer=buffer),
+                          policy=one_shot_policy(), clock=FakeClock())
+        flaky.fail_next(1)  # chwab's replayed apply
+        restarted.recover()
+        assert restarted.availability().status_of("chwab") == "stale"
+        (update,) = restarted.journal.pending()
+        assert update.remaining == ["chwab"]
+        assert restarted.probe("chwab") is True
+        rows = flaky.inner.scan()["r"]
+        assert any(row.get("nova") == 7.0 for row in rows)
+        assert restarted.journal.pending() == []
+        assert restarted.journal.status()["committed"] == 1
+        assert ("9/9/99", "nova", 7.0) in set(restarted.unified_quotes())
+
+    def test_failed_replay_holds_back_the_members_later_updates(self):
+        """Two pending updates owe chwab and its replay of the first
+        fails: recover() must not replay the second into chwab out of
+        journal order (and then report chwab fresh while it still owes
+        the first). chwab stays stale and owes both until a probe
+        replays them in order."""
+        buffer = []
+        connectors, flaky = self.crash_mid_flush(buffer, crash_after=1)
+        # A second process takes another update before anyone runs
+        # recover(), and crashes at the same point.
+        crash = CrashInjector()
+        second = build(connectors, InMemoryJournal(buffer=buffer),
+                       crash=crash, policy=one_shot_policy(),
+                       clock=FakeClock())
+        crash.arm(1)
+        with pytest.raises(CrashPoint):
+            second.insert_quote("zeta", "9/9/99", 5.0)
+        restarted = build(connectors, InMemoryJournal(buffer=buffer),
+                          policy=one_shot_policy(), clock=FakeClock())
+        flaky.fail_next(1)  # chwab's replay of the first update
+        restarted.recover()
+        assert restarted.availability().status_of("chwab") == "stale"
+        assert [update.remaining
+                for update in restarted.journal.pending()] == \
+            [["chwab"], ["chwab"]]
+        assert restarted.probe("chwab") is True
+        assert restarted.journal.pending() == []
+        rows = flaky.inner.scan()["r"]
+        assert any(row.get("nova") == 7.0 for row in rows)
+        assert any(row.get("zeta") == 5.0 for row in rows)
+
+    def test_failed_attach_replay_leaves_member_stale(self):
+        """A member down through install and recover() whose
+        attach-time replay then fails is reported stale — not ok — so
+        updates are refused until the next probe rolls it forward."""
+        buffer = []
+        connectors, flaky = self.crash_mid_flush(buffer, crash_after=1)
+        flaky.set_outage(True)
+        restarted = build(connectors, InMemoryJournal(buffer=buffer),
+                          policy=one_shot_policy(), clock=FakeClock())
+        assert "chwab" in restarted.quarantined
+        restarted.recover()
+        flaky.restore()
+        fail_next_apply(flaky)  # the attach-time replay
+        assert restarted.probe("chwab") is False
+        assert restarted.availability().status_of("chwab") == "stale"
+        with pytest.raises(StaleMemberError):
+            restarted.insert_quote("late", "1/1/01", 1.0)
+        assert restarted.probe("chwab") is True
+        assert restarted.journal.pending() == []
+        rows = flaky.inner.scan()["r"]
+        assert any(row.get("nova") == 7.0 for row in rows)
+        assert restarted.availability().complete
 
 
 @given(

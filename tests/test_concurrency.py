@@ -118,6 +118,15 @@ def run_schedule(workload, parallel, install_faults, update_faults):
             "ok", result.member_outcomes, result.flushed, result.update_id,
             result.inserted, result.succeeded,
         )
+    # What the flush left behind, before any repair: every member's
+    # journaled outcome and every stale direction. The serial path runs
+    # every member just as the parallel one does, so these agree too.
+    record["journaled"] = sorted(
+        (entry["member"], entry["outcome"])
+        for entry in twin.federation.journal.records()
+        if entry["type"] == "member"
+    )
+    record["stale"] = dict(twin.federation._stale)
 
     # Converge: recovery replays drain any scripted failures still
     # queued, probe sweeps re-attach/resync whatever they left behind.

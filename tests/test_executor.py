@@ -100,26 +100,6 @@ class TestSerialFallback:
         assert [o.ok for o in outcomes] == [True, False, True]
         assert outcomes[1].error is boom
 
-    def test_fail_fast_skips_the_rest(self):
-        executor = MemberExecutor(parallel="off")
-        ran = []
-
-        def fail():
-            ran.append("bad")
-            raise ValueError("boom")
-
-        outcomes = executor.map(
-            [
-                MemberTask("good", lambda: ran.append("good")),
-                MemberTask("bad", fail),
-                MemberTask("never", lambda: ran.append("never")),
-            ],
-            fail_fast=True,
-        )
-        assert ran == ["good", "bad"]
-        assert [o.skipped for o in outcomes] == [False, False, True]
-        assert not outcomes[2].ok
-
     def test_base_exception_propagates_immediately(self):
         executor = MemberExecutor(parallel="off")
         ran = []
@@ -371,6 +351,5 @@ class TestSpans:
 class TestOutcomeRepr:
     def test_reprs_are_stable(self):
         assert "ok" in repr(MemberOutcome("m", value=1))
-        assert "skipped" in repr(MemberOutcome("m", skipped=True))
         assert "ValueError" in repr(MemberOutcome("m", error=ValueError()))
         assert "hedge" in repr(MemberTask("m", lambda: 1)).lower()

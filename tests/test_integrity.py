@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import IdlEngine
-from repro.core.integrity import ConstraintSet
+from repro.core.integrity import ConstraintSet, KeyConstraint
 from repro.errors import IntegrityError
 from repro.workloads.stocks import paper_universe
 
@@ -56,6 +56,17 @@ class TestConstraintSet:
         engine.update("?.ource.hp+(.date=3/3/85, .clsPrice=51)", atomic=False)
         violations = constraints.validate(engine.universe)
         assert [v.rel for v in violations] == ["hp"]
+
+    def test_touched_prefixes_scope_the_check(self, engine):
+        constraints = ConstraintSet()
+        constraints.declare_key("euter", "r", ("date",))  # too weak a key
+        universe = engine.universe
+        assert constraints.validate(universe, touched={("ource", "hp")}) == []
+        assert constraints.validate(universe, touched={("euter", "s")}) == []
+        # A (db, rel) prefix names the relation; a shorter one widens
+        # the check to the database, or to the whole universe.
+        for touched in ({("euter", "r")}, {("euter",)}, {()}):
+            assert constraints.validate(universe, touched=touched)
 
     def test_constraints_as_relations(self):
         constraints = ConstraintSet()
@@ -127,3 +138,24 @@ class TestEngineIntegration:
         # The original quote is still there, the conflicting one is not.
         assert engine.ask("?.ource.hp(.date=3/3/85, .clsPrice=50)")
         assert not engine.ask("?.ource.hp(.clsPrice=51)")
+
+    def test_untouched_relations_are_not_rechecked(self, monkeypatch):
+        engine = IdlEngine()
+        engine.add_database("big", {"r": [
+            {"k": index, "v": index % 7} for index in range(8000)
+        ]})
+        engine.add_database("small", {"s": []})
+        engine.declare_key("big", "r", ("k",))
+        checked = []
+        original = KeyConstraint.check
+
+        def counting_check(self, db, rel, relation):
+            checked.append((db, rel))
+            return original(self, db, rel, relation)
+
+        monkeypatch.setattr(KeyConstraint, "check", counting_check)
+        engine.update("?.small.s+(.k=1, .v=2)")
+        assert checked == []
+        with pytest.raises(IntegrityError):
+            engine.update("?.big.r+(.k=1, .v=99)")
+        assert checked == [("big", "r")]
